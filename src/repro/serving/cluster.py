@@ -275,8 +275,9 @@ class ReplicaServer:
     unchanged — admission, token budgets, LIFO preemption, and recompute
     behave exactly as in :class:`ServingEngine` — but decodes sentinel
     tokens on the virtual clock instead of running the model.  The
-    cluster advances replicas lazily (`advance_to`), so routing policies
-    can observe each replica's queue state at any arrival instant.
+    cluster steps replicas in clock order up to each router event, so
+    routing policies observe each replica's queue state at any arrival
+    instant.
     """
 
     def __init__(self, node_index: int, replica_index: int,
@@ -549,7 +550,7 @@ class ReplicaServer:
         self._fault_event("recover", self.clock)
 
     def enqueue(self, request: Request, now: float) -> None:
-        """Accept a routed request; the caller has advanced us to now."""
+        """Accept a routed request; the caller has lifted our clock."""
         self._event(request.request_id, "route", now)
         self.scheduler.submit(request)
 
@@ -567,9 +568,12 @@ class ReplicaServer:
             output_len=len(request.output),
             preemptions=request.preemptions, retries=request.retries,
             deadline=request.deadline_s, degraded=request.degraded))
+        self._probe_succeeded()
+
+    def _probe_succeeded(self) -> None:
+        """A request left this replica served: a half-open breaker closes."""
         if self.breaker is not None \
                 and self.breaker.state == "half-open":
-            # A probe admission completed: the replica proved itself.
             self.breaker.note_success()
             self._breaker_event("close", self.clock)
 
@@ -581,7 +585,9 @@ class ReplicaServer:
         handoff instant — the KV is on its way out, and the freed slots
         are what lets a dedicated prefill replica sustain throughput.
         The cluster drains the outbox after every step and turns each
-        entry into a priced KV-transfer toward a decode replica.
+        entry into a priced KV-transfer toward a decode replica.  A
+        handoff is all a prefill replica ever completes, so it is what
+        closes a half-open breaker there.
         """
         if self.prefix_cache is not None:
             self._release_cache(req)
@@ -589,6 +595,7 @@ class ReplicaServer:
         self.pool.free(req.request_id)
         self._event(req.request_id, "handoff", self.clock)
         self.outbox.append((req, self.clock))
+        self._probe_succeeded()
 
     def _admit_imports(self) -> None:
         """Admission for decode-role replicas: import handed-off KV.
@@ -937,6 +944,13 @@ class ClusterSimulator:
         for i, replica in enumerate(self.replicas):
             replica.index = i
         self._rr_next = 0
+        #: live busy replicas as ``(clock, flat index)``, validated
+        #: lazily at the top (see :meth:`_laggard`); one entry each
+        self._busy_heap: list[tuple[float, int]] = []
+        self._in_busy_heap = [False] * len(self.replicas)
+        #: the last advance target: every idle or dead replica's clock
+        #: is at least this once :meth:`_lift` is applied to it
+        self._floor = 0.0
         self._router_events: list[TraceEvent] = []
         self.assignments: dict[int, tuple[int, int]] = {}
         self._pending: list[Request] = []
@@ -975,66 +989,69 @@ class ClusterSimulator:
         self._fault_events: list[dict] = []
 
     # -- load balancing ------------------------------------------------
-    def _candidates(self) -> list[ReplicaServer]:
-        """Replicas arrivals may route to: prefill-capable, under cap."""
-        cap = self.config.routing.max_outstanding_per_replica
-        candidates = [r for r in self.replicas
-                      if r.healthy and r.role != "decode"
-                      and r.outstanding < cap]
-        if self._overload.breaker:
-            # Route around open breakers; half-open ones admit only
-            # their probe allowance until a success closes them.
-            candidates = [r for r in candidates
-                          if r.breaker_allows(self._router_clock)]
-        return candidates
+    def _best_replica(self, request: Request) -> ReplicaServer | None:
+        """The replica ``request`` would route to, per policy, or None.
 
-    def _cycle(self, candidates: list[ReplicaServer]) -> ReplicaServer:
-        """Deterministic rotating pick: first candidate at/after the
-        cursor.  Used directly by round-robin and as the tie-break for
-        the load-aware policies — a fixed lowest-index tie-break would
-        funnel all ties onto the first replicas and leave the rest idle,
-        which is exactly the imbalance a load balancer exists to avoid.
+        One pass over the replicas in rotated order from the cursor.  A
+        replica is eligible when it is healthy, prefill-capable, under
+        the backpressure cap, and let through by its breaker (open ones
+        are routed around; half-open ones admit only their probe
+        allowance until a success closes them).  Each policy ranks the
+        eligible replicas by a key and the first with the strictly
+        smallest key wins, so ties go to the first replica at or after
+        the cursor — a fixed lowest-index tie-break would funnel all
+        ties onto the first replicas and leave the rest idle, which is
+        exactly the imbalance a load balancer exists to avoid.
         """
-        chosen = min(candidates,
-                     key=lambda r: ((r.index - self._rr_next)
-                                    % len(self.replicas)))
-        self._rr_next = (chosen.index + 1) % len(self.replicas)
-        return chosen
+        routing = self.config.routing
+        cap = routing.max_outstanding_per_replica
+        policy = routing.policy
+        breaker = self._overload.breaker
+        now = self._router_clock
+        rr = self._rr_next
+        best, best_key = None, None
+        for r in self.replicas[rr:] + self.replicas[:rr]:
+            if not r.healthy or r.role == "decode":
+                continue
+            sched = r.scheduler
+            outstanding = len(sched.waiting) + len(sched.running)
+            if outstanding >= cap:
+                continue
+            if breaker and not r.breaker_allows(now):
+                continue
+            if policy == "least-outstanding":
+                key = outstanding
+            elif policy == "jskq":
+                # Join the shortest KV queue — route by worst-case token
+                # demand, so one long-context request counts for many
+                # short.
+                key = r.kv_demand_tokens
+            elif policy == "cache-aware":
+                # Longest cached prefix of this prompt first (a pure
+                # peek — probing must not perturb the caches), then
+                # least-outstanding.
+                hit = r.prefix_cache.peek(request.prompt) \
+                    if r.prefix_cache is not None else 0
+                key = (-hit, outstanding)
+            else:  # round-robin: the first eligible replica
+                key = 0
+            if best is None or key < best_key:
+                best, best_key = r, key
+        return best
 
     def _choose(self, request: Request) -> ReplicaServer | None:
-        """Pick a replica under the backpressure cap, per policy."""
-        candidates = self._candidates()
-        if not candidates:
-            return None
-        policy = self.config.routing.policy
-        if policy == "least-outstanding":
-            best = min(r.outstanding for r in candidates)
-            candidates = [r for r in candidates if r.outstanding == best]
-        elif policy == "jskq":
-            # Join the shortest KV queue — route by worst-case token
-            # demand, so one long-context request counts for many short.
-            best = min(r.kv_demand_tokens for r in candidates)
-            candidates = [r for r in candidates
-                          if r.kv_demand_tokens == best]
-        elif policy == "cache-aware":
-            # Route to the replica whose prefix cache holds the longest
-            # prefix of this prompt (a pure peek — probing must not
-            # perturb the caches); ties fall back to least-outstanding.
-            scores = {r.index: (r.prefix_cache.peek(request.prompt)
-                                if r.prefix_cache is not None else 0)
-                      for r in candidates}
-            best = max(scores.values())
-            candidates = [r for r in candidates if scores[r.index] == best]
-            least = min(r.outstanding for r in candidates)
-            candidates = [r for r in candidates if r.outstanding == least]
-        return self._cycle(candidates)
+        """Pick a replica under the backpressure cap; moves the cursor."""
+        chosen = self._best_replica(request)
+        if chosen is not None:
+            self._rr_next = (chosen.index + 1) % len(self.replicas)
+        return chosen
 
     def _dispatch(self, request: Request, replica: ReplicaServer,
                   now: float) -> None:
         self.assignments[request.request_id] = (replica.node_index,
                                                 replica.replica_index)
         replica.breaker_admit(now)
-        replica.enqueue(request, now)
+        self._enqueue(replica, request, now)
 
     def _dispatch_pending(self) -> None:
         """FIFO-drain the cluster queue into replicas that freed capacity."""
@@ -1046,8 +1063,53 @@ class ClusterSimulator:
                 break
             request = self._pending.pop(0)
             self._dispatch(request, replica,
-                           max(request.arrival_time, replica.clock))
+                           max(request.arrival_time, self._lift(replica)))
         self._sample_queue(self._router_clock)
+
+    # -- the busy-replica heap and the idle-clock floor -----------------
+    def _lift(self, replica: ReplicaServer) -> float:
+        """Raise ``replica``'s clock to the floor; returns the clock.
+
+        An idle or dead replica does no work, and its clock owes a lift
+        to the last advance target.  The lift is applied here, where
+        such a clock is read or the replica turns busy, instead of to
+        every replica after every router event.  A live busy replica is
+        already at or past the floor (each advance steps it there).
+        """
+        if replica.clock < self._floor:
+            replica.clock = self._floor
+        return replica.clock
+
+    def _enqueue(self, replica: ReplicaServer, request: Request,
+                 now: float) -> None:
+        """Route ``request`` to ``replica``, which joins the busy heap."""
+        self._lift(replica)
+        replica.enqueue(request, now)
+        if not self._in_busy_heap[replica.index]:
+            self._in_busy_heap[replica.index] = True
+            heapq.heappush(self._busy_heap, (replica.clock, replica.index))
+
+    def _laggard(self) -> ReplicaServer | None:
+        """The live busy replica with the smallest ``(clock, index)``.
+
+        Heap entries are checked at the top: one whose replica idled or
+        died is dropped, and one whose clock has moved on is pushed back
+        at the current clock.  Clocks only grow, so every live busy
+        replica keeps an entry at or below its clock, and the first top
+        that checks out is exactly the minimum.
+        """
+        heap = self._busy_heap
+        while heap:
+            clock, i = heap[0]
+            replica = self.replicas[i]
+            if not (replica.alive and replica.busy):
+                heapq.heappop(heap)
+                self._in_busy_heap[i] = False
+            elif replica.clock != clock:
+                heapq.heapreplace(heap, (replica.clock, i))
+            else:
+                return replica
+        return None
 
     # -- overload: shedding, timeout bookkeeping, queue depth -----------
     def _sample_queue(self, now: float) -> None:
@@ -1125,7 +1187,8 @@ class ClusterSimulator:
             if now + overload.estimate_margin * eta > req.deadline_s:
                 return "deadline-unattainable"
             return None
-        would_queue = bool(self._pending) or not self._candidates()
+        would_queue = bool(self._pending) \
+            or self._best_replica(req) is None
         if not would_queue:
             return None
         if policy == "bounded-queue":
@@ -1156,25 +1219,21 @@ class ClusterSimulator:
                  and r.role != "decode" and r.breaker.state == "open"]
         return min(holds, default=math.inf)
 
-    def _drain_timeouts(self) -> None:
-        """Convert replicas' raw cancellations into timeout records."""
-        for replica in self.replicas:
-            if not replica.timeouts:
-                continue
-            for req, at, stage in replica.timeouts:
-                self._timed_out.append(TimedOutRequest(
-                    request_id=req.request_id, arrival=req.arrival_time,
-                    deadline=req.deadline_s, cancelled_at=at, stage=stage,
-                    prompt_len=req.prompt_len,
-                    output_len=len(req.output)))
-            replica.timeouts.clear()
+    def _drain_timeouts(self, replica: ReplicaServer) -> None:
+        """Convert a replica's raw cancellations into timeout records."""
+        for req, at, stage in replica.timeouts:
+            self._timed_out.append(TimedOutRequest(
+                request_id=req.request_id, arrival=req.arrival_time,
+                deadline=req.deadline_s, cancelled_at=at, stage=stage,
+                prompt_len=req.prompt_len, output_len=len(req.output)))
+        replica.timeouts.clear()
 
     # -- prefill → decode handoff ---------------------------------------
     def _cycle_handoff(self,
                        candidates: list[ReplicaServer]) -> ReplicaServer:
-        """Rotating pick among decode replicas (own cursor, same logic
-        as :meth:`_cycle` — sharing the arrival cursor would let
-        handoffs perturb arrival placement)."""
+        """Rotating pick among decode replicas: the first at or after
+        its own cursor (sharing the arrival cursor would let handoffs
+        perturb arrival placement)."""
         chosen = min(candidates,
                      key=lambda r: ((r.index - self._handoff_next)
                                     % len(self.replicas)))
@@ -1214,61 +1273,59 @@ class ClusterSimulator:
             self._affinity[req.session_id] = chosen.index
         return chosen
 
-    def _collect_outboxes(self, fo: FailoverConfig | None) -> None:
-        """Turn completed prefills into priced in-flight KV transfers.
+    def _collect_outbox(self, src: ReplicaServer,
+                        fo: FailoverConfig | None) -> None:
+        """Turn ``src``'s completed prefills into in-flight KV transfers.
 
-        Called after every replica step: each outbox entry picks a
-        decode replica, is priced through :class:`KVTransferModel`
-        (Slingshot across nodes, Infinity Fabric within one), and joins
-        the transfer heap to be delivered at ``handoff + duration``.
-        Replica-level deadline cancellations are drained here too — the
-        same after-every-step choke point the outboxes use.
+        Called after every replica step with the replica that stepped,
+        the only one whose outbox or cancellations can have grown: each
+        outbox entry picks a decode replica, is priced through
+        :class:`KVTransferModel` (Slingshot across nodes, Infinity Fabric
+        within one), and joins the transfer heap to be delivered at
+        ``handoff + duration``.  The step's deadline cancellations are
+        drained here too.
         """
-        if self._has_deadlines:
-            self._drain_timeouts()
-        for src in self.replicas:
-            if not src.outbox:
+        if self._has_deadlines and src.timeouts:
+            self._drain_timeouts(src)
+        if not src.outbox:
+            return
+        entries, src.outbox = src.outbox, []
+        for req, ready in entries:
+            dst = self._choose_decode(req)
+            if dst is None:
+                # Every decode replica is down: ride the normal
+                # failover path (re-prefill elsewhere later).
+                if fo is None:  # pragma: no cover — layout invariant
+                    raise RuntimeError(
+                        "no decode replica available for handoff")
+                self._fail_over(req, ready, fo)
                 continue
-            entries, src.outbox = src.outbox, []
-            for req, ready in entries:
-                dst = self._choose_decode(req)
-                if dst is None:
-                    # Every decode replica is down: ride the normal
-                    # failover path (re-prefill elsewhere later).
-                    if fo is None:  # pragma: no cover — layout invariant
-                        raise RuntimeError(
-                            "no decode replica available for handoff")
-                    self._fail_over(req, ready, fo)
-                    continue
-                tokens = req.prefill_pos
-                same_node = dst.node_index == src.node_index
-                if req.deadline_s is not None \
-                        and self.transfer_model.delivery_time(
-                            tokens, ready, same_node=same_node) \
-                        > req.deadline_s:
-                    # Dead on arrival: cancel the pending shipment
-                    # instead of burning wire time on doomed KV.
-                    self._timeout_router(req, ready, "handoff")
-                    continue
-                duration = self.transfer_model.transfer_time(
-                    tokens, same_node=same_node)
-                arrive = ready + duration
-                self._inbound[dst.index] = \
-                    self._inbound.get(dst.index, 0) + 1
-                heapq.heappush(self._transfers,
-                               (arrive, next(self._seq), req,
-                                src.index, dst.index))
-                self.transfer_records.append(TransferRecord(
-                    request_id=req.request_id,
-                    src=(src.node_index, src.replica_index),
-                    dst=(dst.node_index, dst.replica_index),
-                    tokens=tokens,
-                    bytes=self.transfer_model.bytes_for(tokens),
-                    start=ready, duration_s=duration,
-                    same_node=same_node))
-                self._transfer_events.append(TraceEvent(
-                    f"req{req.request_id}/kv-transfer", ready, duration,
-                    "kv-transfer", "comm"))
+            tokens = req.prefill_pos
+            same_node = dst.node_index == src.node_index
+            if req.deadline_s is not None \
+                    and self.transfer_model.delivery_time(
+                        tokens, ready, same_node=same_node) \
+                    > req.deadline_s:
+                # Dead on arrival: cancel the pending shipment instead
+                # of burning wire time on doomed KV.
+                self._timeout_router(req, ready, "handoff")
+                continue
+            duration = self.transfer_model.transfer_time(
+                tokens, same_node=same_node)
+            arrive = ready + duration
+            self._inbound[dst.index] = self._inbound.get(dst.index, 0) + 1
+            heapq.heappush(self._transfers,
+                           (arrive, next(self._seq), req,
+                            src.index, dst.index))
+            self.transfer_records.append(TransferRecord(
+                request_id=req.request_id,
+                src=(src.node_index, src.replica_index),
+                dst=(dst.node_index, dst.replica_index),
+                tokens=tokens, bytes=self.transfer_model.bytes_for(tokens),
+                start=ready, duration_s=duration, same_node=same_node))
+            self._transfer_events.append(TraceEvent(
+                f"req{req.request_id}/kv-transfer", ready, duration,
+                "kv-transfer", "comm"))
 
     def _deliver(self, fo: FailoverConfig | None) -> None:
         """Complete the earliest in-flight transfer at its destination."""
@@ -1289,7 +1346,7 @@ class ClusterSimulator:
         # fails the request over with the rest of its in-flight work.
         self.assignments[req.request_id] = (dst.node_index,
                                             dst.replica_index)
-        dst.enqueue(req, max(arrive, dst.clock))
+        self._enqueue(dst, req, max(arrive, self._lift(dst)))
 
     def _requeue_transfers(self, dst_flat: int, now: float,
                            fo: FailoverConfig) -> None:
@@ -1347,22 +1404,18 @@ class ClusterSimulator:
         prefill completing mid-advance can schedule a KV delivery
         *earlier* than the target — the target then shrinks so the
         delivery is processed in clock order.  Returns the (possibly
-        shrunk) target; idle and dead replicas' clocks are lifted to it.
+        shrunk) target, which becomes the floor that idle and dead
+        replicas' clocks are lifted to (see :meth:`_lift`).
         """
         while True:
-            behind = [r for r in self.replicas
-                      if r.alive and r.busy and r.clock < t_target]
-            if not behind:
+            laggard = self._laggard()
+            if laggard is None or laggard.clock >= t_target:
                 break
-            min(behind, key=lambda r: (r.clock, r.index)).step()
-            self._collect_outboxes(fo)
+            laggard.step()
+            self._collect_outbox(laggard, fo)
             if self._transfers and self._transfers[0][0] < t_target:
                 t_target = self._transfers[0][0]
-        for replica in self.replicas:
-            if replica.alive:
-                replica.advance_to(t_target)  # lifts idle clocks to t
-            elif replica.clock < t_target:
-                replica.clock = t_target
+        self._floor = max(self._floor, t_target)
         return t_target
 
     def _run_fault_free(self, arrivals: list[Request]) -> int:
@@ -1386,17 +1439,16 @@ class ClusterSimulator:
                 # Drain: step the laggard until queued work can route
                 # and every replica idles (handoffs may appear anytime).
                 self._dispatch_pending()
-                busy = [r for r in self.replicas if r.busy]
-                if not busy:
+                laggard = self._laggard()
+                if laggard is None:
                     if self._pending:  # pragma: no cover — cap >= 1
                         raise RuntimeError(
                             "cluster stalled with queued requests")
                     break
-                laggard = min(busy, key=lambda r: (r.clock, r.index))
                 laggard.step()
                 self._router_clock = max(self._router_clock,
                                          laggard.clock)
-                self._collect_outboxes(None)
+                self._collect_outbox(laggard, None)
                 continue
 
             t_router = self._advance_replicas(t_router, None)
@@ -1467,17 +1519,16 @@ class ClusterSimulator:
             if math.isinf(t_router):
                 # No router events left: drain survivors, still letting
                 # fault onsets they reach interrupt them.
-                busy = [r for r in self.replicas if r.alive and r.busy]
-                if not busy:
+                laggard = self._laggard()
+                if laggard is None:
                     break
-                laggard = min(busy, key=lambda r: (r.clock, r.index))
                 if fm.peek_time() <= laggard.clock:
                     self._apply_fault(fm.pop(), fo)
                 else:
                     laggard.step()
                     self._router_clock = max(self._router_clock,
                                              laggard.clock)
-                    self._collect_outboxes(fo)
+                    self._collect_outbox(laggard, fo)
                     self._dispatch_pending()
                 continue
 
@@ -1516,7 +1567,9 @@ class ClusterSimulator:
                 self._requeue_transfers(flat, t_router, fo)
             elif t_recover == t_router:
                 _, _, flat = heapq.heappop(self._recoveries)
-                self.replicas[flat].revive(t_router)
+                replica = self.replicas[flat]
+                self._lift(replica)
+                replica.revive(t_router)
                 self._dispatch_pending()
             elif t_deliver <= t_router:
                 self._deliver(fo)
@@ -1581,10 +1634,11 @@ class ClusterSimulator:
             # The victim finishes steps it started before the onset
             # (steps are atomic); death lands on the first boundary
             # at or after it.
+            self._lift(replica)
             while replica.alive and replica.busy \
                     and replica.clock < event.time_s:
                 replica.step()
-                self._collect_outboxes(fo)
+                self._collect_outbox(replica, fo)
                 self._dispatch_pending()
             replica.kill(event.time_s)
             heapq.heappush(self._detections,

@@ -160,7 +160,8 @@ class OverloadConfig:
         detection or straggler onset trips the breaker open; after the
         fault window plus ``breaker_cooldown_s`` it half-opens and
         admits up to ``breaker_probes`` probe requests, closing on the
-        first probe that completes.
+        first probe that completes (on a prefill replica, the first
+        that hands its KV off).
     """
 
     shed_policy: str = "none"

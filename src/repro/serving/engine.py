@@ -76,6 +76,8 @@ class DecodeCostModel:
         self.topology = GroupTopology.place(tp)
         self.weight_bytes = 2.0 * config.num_parameters() / tp
         self.kv_token_bytes = kv_bytes_per_token(config)
+        #: prefill seconds per prompt length (see :meth:`prefill_time`)
+        self._prefill_s: dict[int, float] = {}
 
     def _tp_comm(self, tokens: int) -> float:
         """Allreduce tax of one forward over ``tokens`` activations."""
@@ -87,14 +89,23 @@ class DecodeCostModel:
         return TP_ALLREDUCES_PER_LAYER * self.config.num_layers * per_call
 
     def prefill_time(self, prompt_len: int) -> float:
-        """Forward pass over the whole prompt (compute-bound, roofline)."""
-        layer = self.roofline.layer_forward_timing(
-            self.config, seq_len=prompt_len, micro_batch=1)
-        total = self.config.num_layers * layer.total_seconds / self.tp
-        head = GEMMShape("head", prompt_len, self.config.hidden_size,
-                         self.config.vocab_size)
-        return total + self.roofline.gemm_time(head) / self.tp \
-            + self._tp_comm(prompt_len)
+        """Forward pass over the whole prompt (compute-bound, roofline).
+
+        Memoized per length: the price depends on nothing but the
+        constructor inputs, and ``deadline-estimate`` shedding re-prices
+        the whole backlog on every arrival.
+        """
+        seconds = self._prefill_s.get(prompt_len)
+        if seconds is None:
+            layer = self.roofline.layer_forward_timing(
+                self.config, seq_len=prompt_len, micro_batch=1)
+            total = self.config.num_layers * layer.total_seconds / self.tp
+            head = GEMMShape("head", prompt_len, self.config.hidden_size,
+                             self.config.vocab_size)
+            seconds = total + self.roofline.gemm_time(head) / self.tp \
+                + self._tp_comm(prompt_len)
+            self._prefill_s[prompt_len] = seconds
+        return seconds
 
     def decode_step_time(self, batch_size: int,
                          total_context_tokens: int) -> float:

@@ -76,7 +76,13 @@ class PagedKVPool:
                     f"HBM budget ({hbm / 1e9:.1f} GB)")
             self.num_blocks = int(
                 budget // (self.config.block_size * self.bytes_per_token))
-        self._free: list[int] = list(range(self.num_blocks - 1, -1, -1))
+        # Lazy free list: ids at or above the high-water mark were never
+        # leased, freed ids wait on a LIFO stack that is drained first.
+        # Construction is O(1) however large the pool, and ids come out
+        # in the order an eager ``[num_blocks-1, ..., 0]`` pop-stack
+        # would hand them out.
+        self._recycled: list[int] = []
+        self._high_water = 0
         self._blocks: dict[int, list[int]] = {}   # request -> block ids
         self._tokens: dict[int, int] = {}         # request -> token count
         self.peak_blocks_used = 0
@@ -89,11 +95,11 @@ class PagedKVPool:
 
     @property
     def blocks_used(self) -> int:
-        return self.num_blocks - len(self._free)
+        return self._high_water - len(self._recycled)
 
     @property
     def blocks_free(self) -> int:
-        return len(self._free)
+        return self.num_blocks - self._high_water + len(self._recycled)
 
     @property
     def utilization(self) -> float:
@@ -114,7 +120,7 @@ class PagedKVPool:
     # ------------------------------------------------------------------
     def can_allocate(self, request_id: int, total_tokens: int) -> bool:
         have = len(self._blocks.get(request_id, ()))
-        return self.blocks_needed(total_tokens) - have <= len(self._free)
+        return self.blocks_needed(total_tokens) - have <= self.blocks_free
 
     def allocate(self, request_id: int, total_tokens: int) -> bool:
         """Grow ``request_id``'s lease to cover ``total_tokens`` slots.
@@ -126,13 +132,18 @@ class PagedKVPool:
             raise ValueError(f"total_tokens must be >= 1: {total_tokens}")
         held = self._blocks.setdefault(request_id, [])
         extra = self.blocks_needed(total_tokens) - len(held)
-        if extra > len(self._free):
+        if extra > self.blocks_free:
             self.alloc_failures += 1
             if not held:
                 del self._blocks[request_id]
             return False
+        recycled = self._recycled
         for _ in range(extra):
-            held.append(self._free.pop())
+            if recycled:
+                held.append(recycled.pop())
+            else:
+                held.append(self._high_water)
+                self._high_water += 1
         self._tokens[request_id] = max(self._tokens.get(request_id, 0),
                                        total_tokens)
         self.peak_blocks_used = max(self.peak_blocks_used, self.blocks_used)
@@ -142,7 +153,7 @@ class PagedKVPool:
         """Release a request's blocks; returns how many were freed."""
         blocks = self._blocks.pop(request_id, [])
         self._tokens.pop(request_id, None)
-        self._free.extend(reversed(blocks))
+        self._recycled.extend(reversed(blocks))
         return len(blocks)
 
     # ------------------------------------------------------------------

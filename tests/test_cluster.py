@@ -1,15 +1,20 @@
 """Tests for the multi-node serving cluster simulator: replica
-layouts, load-balancing policies, backpressure, lifecycle traces, and
-the ClusterResult API."""
+layouts, load-balancing policies, backpressure, lifecycle traces, the
+ClusterResult API, and the simulator's own per-event cost."""
 
 import json
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.frontier.hardware import GCDSpec, NodeSpec
 from repro.models import preset
 from repro.serving import (LB_POLICIES, ClusterConfig, ClusterResult,
-                           ClusterSimulator, ReplicaLayout, ServingConfig,
+                           ClusterSimulator, OverloadConfig, ReplicaLayout,
+                           ReplicaServer, RoutingConfig, ServingConfig,
                            ServingResultBase, WorkloadConfig, format_cluster,
                            synthesize_workload)
 
@@ -202,3 +207,128 @@ class TestLifecycleTrace:
         assert sorted(procs) == ["cluster", "node0", "node1", "node2"]
         phases = {e["ph"] for e in doc["traceEvents"]}
         assert {"M", "X", "i"} <= phases  # spans and instant markers
+
+
+class TestSimulatorCost:
+    def test_scans_per_event_do_not_grow_with_fleet_size(
+            self, config, monkeypatch):
+        """``busy`` + ``advance_to`` evaluations per (replica step +
+        arrival) stay under one constant on 8 and on 256 replicas."""
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(ReplicaServer, "busy", property(
+            counting("busy", ReplicaServer.busy.fget)))
+        for name in ("advance_to", "step"):
+            monkeypatch.setattr(ReplicaServer, name, counting(
+                name, getattr(ReplicaServer, name)))
+        for nodes in (1, 32):
+            counts.clear()
+            requests = make_workload(config, n=400, rate=3000.0, skew=0.15)
+            ClusterSimulator(config, ClusterConfig(
+                num_nodes=nodes,
+                routing=RoutingConfig(policy="least-outstanding"),
+                serving=ServingConfig(num_blocks=2048))).run(requests)
+            scans = counts["busy"] + counts["advance_to"]
+            events = counts["step"] + len(requests)
+            assert scans <= 3 * events, (nodes, scans, events)
+
+
+def reference_choose(sim, request):
+    """The router before the single-pass rewrite, kept as the reference:
+    a candidate list, one filter list per policy, then the rotating pick
+    of the first candidate at or after the cursor."""
+    cap = sim.config.routing.max_outstanding_per_replica
+    candidates = [r for r in sim.replicas
+                  if r.healthy and r.role != "decode"
+                  and r.outstanding < cap]
+    if sim._overload.breaker:
+        candidates = [r for r in candidates
+                      if r.breaker_allows(sim._router_clock)]
+    if not candidates:
+        return None
+    policy = sim.config.routing.policy
+    if policy == "least-outstanding":
+        best = min(r.outstanding for r in candidates)
+        candidates = [r for r in candidates if r.outstanding == best]
+    elif policy == "jskq":
+        best = min(r.kv_demand_tokens for r in candidates)
+        candidates = [r for r in candidates if r.kv_demand_tokens == best]
+    elif policy == "cache-aware":
+        scores = {r.index: (r.prefix_cache.peek(request.prompt)
+                            if r.prefix_cache is not None else 0)
+                  for r in candidates}
+        best = max(scores.values())
+        candidates = [r for r in candidates if scores[r.index] == best]
+        least = min(r.outstanding for r in candidates)
+        candidates = [r for r in candidates if r.outstanding == least]
+    chosen = min(candidates, key=lambda r: ((r.index - sim._rr_next)
+                                            % len(sim.replicas)))
+    sim._rr_next = (chosen.index + 1) % len(sim.replicas)
+    return chosen
+
+
+#: Timing-level routing model (no weights are instantiated); a module
+#: global rather than a fixture so the hypothesis test can reach it.
+ROUTER_MODEL = preset("llama-1.7b-hf-52k")
+
+#: One replica's router-visible state: queued request budgets (blocks),
+#: health, breaker state, whether an open breaker's hold has elapsed,
+#: probes used, and the prefix-cache peek in blocks (None = no cache).
+REPLICA_STATE = st.tuples(
+    st.lists(st.integers(1, 4), max_size=4), st.booleans(),
+    st.sampled_from(["closed", "open", "half-open"]), st.booleans(),
+    st.integers(0, 2), st.none() | st.integers(0, 3))
+
+
+def router_sim(policy, label, cap, breaker, states, cursor):
+    sim = ClusterSimulator(ROUTER_MODEL, ClusterConfig(
+        num_nodes=2, layout=ReplicaLayout.from_label(label),
+        routing=RoutingConfig(policy=policy,
+                              max_outstanding_per_replica=cap),
+        serving=ServingConfig(num_blocks=64,
+                              overload=OverloadConfig(breaker=breaker))))
+    sim._router_clock = 1.0
+    sim._rr_next = cursor
+    for replica, (budgets, healthy, state, elapsed, used, peek) in zip(
+            sim.replicas, states):
+        replica.scheduler.waiting = [SimpleNamespace(budget_tokens=16 * b)
+                                     for b in budgets]
+        replica.healthy = healthy
+        if peek is not None:
+            replica.prefix_cache = SimpleNamespace(
+                peek=lambda prompt, hit=16 * peek: hit)
+        if breaker:
+            replica.breaker.state = state
+            replica.breaker._until = 0.5 if elapsed else 2.0
+            replica.breaker._probes_used = used
+    return sim
+
+
+class TestSinglePassRouting:
+    @settings(max_examples=200, deadline=None)
+    @given(policy=st.sampled_from(LB_POLICIES),
+           label=st.sampled_from(["8xTP1", "2P6DxTP1"]),
+           cap=st.integers(1, 4), breaker=st.booleans(),
+           states=st.lists(REPLICA_STATE, min_size=16, max_size=16),
+           cursor=st.integers(0, 15))
+    def test_choose_matches_three_list_reference(self, policy, label, cap,
+                                                 breaker, states, cursor):
+        request = SimpleNamespace(prompt=[1, 2, 3])
+        new = router_sim(policy, label, cap, breaker, states, cursor)
+        ref = router_sim(policy, label, cap, breaker, states, cursor)
+        chosen = new._choose(request)
+        expected = reference_choose(ref, request)
+        assert getattr(chosen, "index", None) \
+            == getattr(expected, "index", None)
+        assert new._rr_next == ref._rr_next
+        if breaker:
+            for a, b in zip(new.replicas, ref.replicas):
+                assert (a.breaker.state, a.breaker._probes_used,
+                        len(a.events)) == (b.breaker.state,
+                                           b.breaker._probes_used,
+                                           len(b.events))

@@ -341,6 +341,28 @@ class TestCircuitBreaker:
         _, res = run_cluster(mtbf=0.0002)
         assert res.breaker_trips == 0
 
+    def test_prefill_breakers_close_on_handoff(self):
+        """Regression: a prefill replica hands every request off, so its
+        half-open breaker waited for a finish that never happens there
+        and kept the replica out of rotation for good."""
+        cfg = ClusterConfig(
+            num_nodes=1, layout=ReplicaLayout.from_label("2P6DxTP1"),
+            serving=ServingConfig(max_batch_tokens=8192,
+                                  overload=OverloadConfig(breaker=True)),
+            # One straggler per replica-second: both prefill replicas
+            # trip (2 and 3 times), early enough to re-close.
+            faults=FaultConfig(straggler_mtbe_hours=1.0 / 3600,
+                               straggler_window_s=0.05, seed=9))
+        sim = ClusterSimulator(CLUSTER_CFG, cfg)
+        res = sim.run(synthesize_workload(WorkloadConfig(
+            num_requests=120, arrival_rate=60.0,
+            prompt_len_range=(128, 512), output_len_range=(16, 32),
+            seed=3), CLUSTER_CFG))
+        assert len(res.records) == res.submitted
+        prefill = [r.breaker for r in sim.replicas if r.role == "prefill"]
+        assert all(b.trips > 0 for b in prefill)
+        assert [b.state for b in prefill] == ["closed", "closed"]
+
 
 # ----------------------------------------------------------------------
 # Cluster: parity, deadlines, queue observability

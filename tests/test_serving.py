@@ -1,6 +1,8 @@
 """Tests for the serving subsystem: paged KV pool, continuous-batching
 scheduler, decode engine, workloads, metrics, Frontier extrapolation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,45 @@ class TestKVPool:
         config = preset("llama-6.7b-hf-52k")
         with pytest.raises(ValueError):
             PagedKVPool(config, KVPoolConfig(hbm_gb=1.0))
+
+    def test_lazy_free_list_leases_eager_order(self, model):
+        """Seeded allocate/free traffic leases exactly the block ids of
+        an eager ``[n-1, ..., 0]`` pop-stack free list."""
+        n, size = 64, 4
+        free = list(range(n - 1, -1, -1))        # the eager reference
+        held: dict[int, list[int]] = {}
+        pool = PagedKVPool(model.config, KVPoolConfig(block_size=size,
+                                                      num_blocks=n))
+        rng = np.random.default_rng(0)
+        for _ in range(3000):
+            rid = int(rng.integers(12))
+            if rng.random() < 0.3:
+                blocks = held.pop(rid, [])
+                free.extend(reversed(blocks))
+                assert pool.free(rid) == len(blocks)
+            else:
+                tokens = int(rng.integers(1, 24 * size))
+                have = held.get(rid, [])
+                extra = -(-tokens // size) - len(have)
+                fits = extra <= len(free)
+                if fits:
+                    held[rid] = have + [free.pop()
+                                        for _ in range(max(0, extra))]
+                assert pool.allocate(rid, tokens) == fits
+            assert pool._blocks == held
+            assert pool.blocks_free == len(free)
+
+    def test_gcd_sized_pool_builds_in_constant_memory(self, model):
+        """A whole-GCD tiny-llama pool holds millions of blocks; building
+        it must not materialize a free-list entry per block."""
+        tracemalloc.start()
+        try:
+            pool = PagedKVPool(model.config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pool.num_blocks > 1_000_000
+        assert peak < 1_000_000
 
 
 class TestScheduler:
@@ -428,6 +469,29 @@ class TestCostModel:
     def test_prefill_scales_with_prompt(self, model):
         cost = DecodeCostModel(model.config)
         assert cost.prefill_time(32) > cost.prefill_time(4)
+
+    def test_prefill_memo_matches_fresh_pricing(self, model):
+        lengths = [1, 5, 64, 5, 300, 1, 64]
+        for tp in (1, 8):
+            cost = DecodeCostModel(model.config, tp=tp)
+            memo = [cost.prefill_time(n) for n in lengths]
+            fresh = [DecodeCostModel(model.config, tp=tp).prefill_time(n)
+                     for n in lengths]
+            assert memo == fresh
+
+    def test_prefill_prices_each_length_once(self, model):
+        cost = DecodeCostModel(model.config)
+        seen = []
+        price = cost.roofline.layer_forward_timing
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["seq_len"])
+            return price(*args, **kwargs)
+        cost.roofline.layer_forward_timing = spy
+        for n in (16, 32, 16, 16, 32):
+            cost.prefill_time(n)
+        cost.chunked_prefill_time(16, 100)
+        assert sorted(seen) == [16, 32]
 
 
 class TestPerfModel:
