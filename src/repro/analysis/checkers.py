@@ -12,8 +12,8 @@ docs/ANALYSIS.md for the full catalog with examples):
   silently differentiate the wrong tensor.
 * RPR003 — roofline/collective arithmetic must not mix unit scales
   (bytes vs GiB, s vs us, FLOPs vs TFLOPs) without a named conversion.
-* RPR004 — API hygiene: no internal use of deprecated engine or
-  cluster kwargs, no ``__all__`` drift, no mutable default arguments.
+* RPR004 — API hygiene: no ``__all__`` drift, no mutable default
+  arguments.
 * RPR005 — ``==``/``!=`` on computed float expressions is almost never
   the intended comparison in an analytical model.
 * RPR006 — exception hygiene: bare ``except:`` and broad handlers that
@@ -267,22 +267,13 @@ class UnitsHygieneChecker(Checker):
 # RPR004 — API hygiene
 # ----------------------------------------------------------------------
 
-#: ServingEngine kwargs deprecated by the ServingConfig redesign.
-_DEPRECATED_ENGINE_KWARGS = {"scheduler_config", "max_steps"}
-
-#: ClusterConfig kwargs deprecated by the role-aware routing redesign
-#: (fold them into ``routing=RoutingConfig(...)``).
-_DEPRECATED_CLUSTER_KWARGS = {"policy", "max_outstanding_per_replica"}
-
-
 @register
 class ApiHygieneChecker(Checker):
-    """RPR004: deprecated kwargs, ``__all__`` drift, mutable defaults."""
+    """RPR004: ``__all__`` drift, mutable defaults."""
 
     rule = "RPR004"
     severity = "error"
-    title = "API hygiene (deprecated kwargs, __all__ drift, mutable "\
-            "defaults)"
+    title = "API hygiene (__all__ drift, mutable defaults)"
 
     def __init__(self) -> None:
         self._all_node: ast.AST | None = None
@@ -290,23 +281,6 @@ class ApiHygieneChecker(Checker):
         self._top_level: set[str] = set()
         self._public_defs: dict[str, ast.AST] = {}
         self._star_import = False
-
-    # -- deprecated engine / cluster kwargs ----------------------------
-    def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
-        name = dotted_name(node.func).rsplit(".", 1)[-1]
-        if name == "ServingEngine":
-            for kw in node.keywords:
-                if kw.arg in _DEPRECATED_ENGINE_KWARGS:
-                    ctx.report(self, node,
-                               f"deprecated ServingEngine kwarg "
-                               f"{kw.arg!r}; fold it into ServingConfig")
-        elif name == "ClusterConfig":
-            for kw in node.keywords:
-                if kw.arg in _DEPRECATED_CLUSTER_KWARGS:
-                    ctx.report(self, node,
-                               f"deprecated ClusterConfig kwarg "
-                               f"{kw.arg!r}; fold it into "
-                               f"routing=RoutingConfig(...)")
 
     # -- mutable default arguments -------------------------------------
     def _check_defaults(self, node, ctx: FileContext) -> None:

@@ -65,7 +65,6 @@ import heapq
 import itertools
 import math
 import re
-import warnings
 
 import numpy as np
 from dataclasses import dataclass, field, replace
@@ -218,12 +217,6 @@ class ClusterConfig:
     owns the node geometry).  Routing policy, the admission backpressure
     cap, and the prefill→decode handoff policy live in ``routing``;
     KV-shipment pricing for disaggregated layouts lives in ``transfer``.
-
-    The pre-disaggregation flat kwargs ``policy`` and
-    ``max_outstanding_per_replica`` are deprecated: passing them warns
-    and folds them into ``routing``.  The effective values are mirrored
-    back onto the flat attributes, so existing *readers* keep working
-    unchanged.
     """
 
     num_nodes: int = 4
@@ -236,36 +229,10 @@ class ClusterConfig:
     faults: FaultConfig | None = None
     #: detection / recovery / retry semantics when ``faults`` is active
     failover: FailoverConfig = FailoverConfig()
-    #: deprecated — pass ``routing=RoutingConfig(policy=...)``
-    policy: str | None = None
-    #: deprecated — pass ``routing=RoutingConfig(max_outstanding_per_replica=...)``
-    max_outstanding_per_replica: int | None = None
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
             raise ValueError(f"num_nodes must be >= 1: {self.num_nodes}")
-        routing = self.routing
-        if self.policy is not None:
-            warnings.warn(
-                "ClusterConfig(policy=...) is deprecated; pass "
-                "routing=RoutingConfig(policy=...)",
-                DeprecationWarning, stacklevel=3)
-            routing = replace(routing, policy=self.policy)
-        if self.max_outstanding_per_replica is not None:
-            warnings.warn(
-                "ClusterConfig(max_outstanding_per_replica=...) is "
-                "deprecated; pass routing=RoutingConfig("
-                "max_outstanding_per_replica=...)",
-                DeprecationWarning, stacklevel=3)
-            routing = replace(
-                routing,
-                max_outstanding_per_replica=self.max_outstanding_per_replica)
-        object.__setattr__(self, "routing", routing)
-        # Mirror the effective values so pre-redesign readers of the
-        # flat attributes observe the same configuration.
-        object.__setattr__(self, "policy", routing.policy)
-        object.__setattr__(self, "max_outstanding_per_replica",
-                           routing.max_outstanding_per_replica)
 
 
 class ReplicaServer:

@@ -26,8 +26,6 @@ same α–β hierarchy the training simulator uses, which is what lets
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from ..frontier.hardware import GCDSpec
@@ -43,7 +41,7 @@ from .kv_pool import PagedKVPool, kv_bytes_per_token
 from .metrics import RequestRecord, ServingMetrics, TimelineSample
 from .perf_model import TP_ALLREDUCES_PER_LAYER
 from .results import ServeResult, ShedRequest, TimedOutRequest
-from .scheduler import (ContinuousBatchScheduler, Request, SchedulerConfig,
+from .scheduler import (ContinuousBatchScheduler, Request,
                         apply_degradation, estimate_backlog_eta,
                         next_prefill_target)
 
@@ -208,32 +206,15 @@ class ServingEngine:
         geometry, cost knobs, and the step bound.
     pool, cost_model:
         Injection seams for tests; defaults are built from ``config``.
-    scheduler_config, max_steps:
-        Deprecated — fold them into ``config`` instead.  Honoured (and
-        they override ``config``) for one release.
     """
 
     def __init__(self, model, config: ServingConfig | None = None, *,
                  pool: PagedKVPool | None = None,
-                 cost_model: DecodeCostModel | None = None,
-                 scheduler_config: SchedulerConfig | None = None,
-                 max_steps: int | None = None):
+                 cost_model: DecodeCostModel | None = None):
         self.model = model
         self.config = config or ServingConfig()
         sched_cfg = self.config.scheduler_config()
-        if scheduler_config is not None:
-            warnings.warn(
-                "ServingEngine(scheduler_config=...) is deprecated; pass "
-                "ServingConfig(policy=..., max_batch_size=...) instead",
-                DeprecationWarning, stacklevel=2)
-            sched_cfg = scheduler_config
         self.max_steps = self.config.max_steps
-        if max_steps is not None:
-            warnings.warn(
-                "ServingEngine(max_steps=...) is deprecated; pass "
-                "ServingConfig(max_steps=...) instead",
-                DeprecationWarning, stacklevel=2)
-            self.max_steps = max_steps
         self.pool = pool or self.config.build_pool(model.config)
         self.scheduler = ContinuousBatchScheduler(self.pool, sched_cfg)
         self.cost = cost_model or self.config.build_cost_model(model.config)
@@ -805,13 +786,6 @@ def run_sequential(model, requests: list[Request],
     price per token.  The continuous-batching engine's speedup is
     measured against this.
     """
-    if isinstance(config, DecodeCostModel):
-        # Pre-ServingConfig signature: run_sequential(model, reqs, cost).
-        warnings.warn(
-            "passing a DecodeCostModel positionally to run_sequential is "
-            "deprecated; pass cost_model=... or a ServingConfig",
-            DeprecationWarning, stacklevel=2)
-        cost_model, config = config, None
     if cost_model is None:
         cost_model = (config or ServingConfig()).build_cost_model(
             model.config)

@@ -76,11 +76,6 @@ RULE_SNIPPETS = [
     ("RPR003", "src/repro/serving/metrics.py",
      "def slow(step_us, budget_ms):\n    return step_us > budget_ms\n",
      "def slow(step_us, budget_us):\n    return step_us > budget_us\n"),
-    ("RPR004", "src/repro/serving/bench.py",
-     '__all__ = ["build"]\n\ndef build(model, cfg):\n'
-     "    return ServingEngine(model, max_steps=10)\n",
-     '__all__ = ["build"]\n\ndef build(model, cfg):\n'
-     "    return ServingEngine(model, cfg)\n"),
     ("RPR004", "src/repro/core/api.py",
      '__all__ = ["missing_name"]\n',
      '__all__ = ["thing"]\n\ndef thing():\n    return 1\n'),

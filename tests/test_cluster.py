@@ -35,8 +35,9 @@ def make_workload(config, n=40, rate=800.0, seed=0, skew=0.0, **kw):
 
 
 def run_cluster(config, policy="round-robin", nodes=2, n=40, seed=0,
-                skew=0.0, rate=800.0, **cluster_kw):
-    cfg = ClusterConfig(num_nodes=nodes, policy=policy, **cluster_kw)
+                skew=0.0, rate=800.0, cap=32, **cluster_kw):
+    cfg = ClusterConfig(num_nodes=nodes, routing=RoutingConfig(
+        policy=policy, max_outstanding_per_replica=cap), **cluster_kw)
     sim = ClusterSimulator(config, cfg)
     return sim.run(make_workload(config, n=n, seed=seed, skew=skew,
                                  rate=rate))
@@ -74,11 +75,12 @@ class TestReplicaLayout:
 
     def test_cluster_config_validates(self):
         with pytest.raises(ValueError):
-            ClusterConfig(policy="random")
+            ClusterConfig(routing=RoutingConfig(policy="random"))
         with pytest.raises(ValueError):
             ClusterConfig(num_nodes=0)
         with pytest.raises(ValueError):
-            ClusterConfig(max_outstanding_per_replica=0)
+            ClusterConfig(routing=RoutingConfig(
+                max_outstanding_per_replica=0))
 
 
 class TestClusterRun:
@@ -127,8 +129,7 @@ class TestClusterRun:
         assert tp1.metrics.tokens_per_s > tp8.metrics.tokens_per_s
 
     def test_backpressure_queues_then_completes(self, config):
-        result = run_cluster(config, nodes=1, rate=100000.0,
-                             max_outstanding_per_replica=1)
+        result = run_cluster(config, nodes=1, rate=100000.0, cap=1)
         assert result.queued_requests > 0
         assert result.metrics.num_requests == 40
 

@@ -96,31 +96,13 @@ class TestRoleAwareLayout:
 
 
 class TestDeprecationShims:
-    def test_policy_kwarg_warns_and_mirrors(self):
-        with pytest.warns(DeprecationWarning, match="policy"):
-            cfg = ClusterConfig(policy="jskq")
-        assert cfg.routing.policy == "jskq"
-        assert cfg.policy == "jskq"
-
-    def test_max_outstanding_kwarg_warns_and_mirrors(self):
-        with pytest.warns(DeprecationWarning, match="max_outstanding"):
-            cfg = ClusterConfig(max_outstanding_per_replica=4)
-        assert cfg.routing.max_outstanding_per_replica == 4
-        assert cfg.max_outstanding_per_replica == 4
-
     def test_new_api_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cfg = ClusterConfig(routing=RoutingConfig(
                 policy="jskq", max_outstanding_per_replica=4))
-        # The mirror fields expose the effective values either way.
-        assert cfg.policy == "jskq"
-        assert cfg.max_outstanding_per_replica == 4
-
-    def test_validation_still_applies_through_shim(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                ClusterConfig(policy="random")
+        assert cfg.routing.policy == "jskq"
+        assert cfg.routing.max_outstanding_per_replica == 4
 
     def test_routing_config_validates(self):
         with pytest.raises(ValueError):

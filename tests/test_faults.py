@@ -11,8 +11,8 @@ from repro.models import (CheckpointCorruptError, GPTModel, load_checkpoint,
                           preset, save_checkpoint)
 from repro.models.checkpoint import read_verified, write_atomic
 from repro.serving import (ClusterConfig, ClusterSimulator, FailoverConfig,
-                           ReplicaLayout, ServingConfig, WorkloadConfig,
-                           synthesize_workload)
+                           ReplicaLayout, RoutingConfig, ServingConfig,
+                           WorkloadConfig, synthesize_workload)
 from repro.training import (CheckpointCostModel, CheckpointRestartSimulator,
                             checkpoint_state_bytes, expected_goodput,
                             young_daly_interval)
@@ -257,7 +257,8 @@ def run_faulted(model_config, mtbf_hours, *, seed=3, fault_seed=11,
         FaultConfig(mtbf_hours=mtbf_hours, seed=fault_seed)
     cfg = ClusterConfig(
         num_nodes=nodes, layout=ReplicaLayout.from_label("8xTP1"),
-        policy=policy, serving=ServingConfig(max_batch_tokens=8192),
+        routing=RoutingConfig(policy=policy),
+        serving=ServingConfig(max_batch_tokens=8192),
         faults=faults, failover=failover or failover_cfg())
     sim = ClusterSimulator(model_config, cfg)
     return sim.run(synthesize_workload(wl, model_config))

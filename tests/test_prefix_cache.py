@@ -13,7 +13,7 @@ from repro.cli import main
 from repro.models import GPTModel, PackedKVPool, preset
 from repro.serving import (CacheStats, ClusterConfig, ClusterSimulator,
                            KVPoolConfig, PagedKVPool, RadixPrefixCache,
-                           ServingConfig, ServingEngine,
+                           RoutingConfig, ServingConfig, ServingEngine,
                            SessionWorkloadConfig, WorkloadConfig,
                            synthesize_sessions, synthesize_workload)
 
@@ -444,7 +444,7 @@ class TestClusterIntegration:
             SessionWorkloadConfig(num_sessions=10, arrival_rate=200.0,
                                   think_time_s=0.005, seed=0), config)
         sim = ClusterSimulator(config, ClusterConfig(
-            num_nodes=1, policy="round-robin",
+            num_nodes=1, routing=RoutingConfig(policy="round-robin"),
             serving=ServingConfig(prefix_cache=True)))
         result = sim.run(reqs)
         assert result.metrics.num_requests == len(reqs)

@@ -369,22 +369,6 @@ class TestServingConfig:
         assert result.metrics.num_requests == 6
         assert result.metrics.mean_batch_size <= 2.0
 
-    def test_legacy_scheduler_kwargs_warn_but_work(self, model):
-        with pytest.deprecated_call():
-            engine = ServingEngine(
-                model, scheduler_config=SchedulerConfig(policy="spf"))
-        assert engine.scheduler.config.policy == "spf"
-        with pytest.deprecated_call():
-            engine = ServingEngine(model, max_steps=123)
-        assert engine.max_steps == 123
-
-    def test_legacy_positional_cost_model_warns(self, model):
-        reqs = make_workload(model, n=4)
-        with pytest.deprecated_call():
-            result = run_sequential(model, reqs,
-                                    DecodeCostModel(model.config))
-        assert result.metrics.num_requests == 4
-
 
 class TestResults:
     """ServeResult / ClusterResult share the ServingResultBase surface."""
