@@ -7,11 +7,13 @@ one TP=8 replica spanning it), with a load balancer routing seeded
 Poisson traffic across all replicas and per-replica admission
 backpressure spilling into a cluster-level queue.
 
-The replicas here are *timing-level*: they reuse the real scheduler,
-paged KV pool, and preemption rules of :class:`ServingEngine`, but
-decode sentinel tokens instead of running the NumPy model, so a
+The replicas here are *timing-level*: each runs the same
+:class:`~repro.serving.replica.ReplicaServer` core as
+:class:`ServingEngine` — scheduler, paged KV pool, preemption, and
+every other serving rule — but with a :class:`TimingExecutor` that
+decodes sentinel tokens instead of running the NumPy model, so a
 4-node × 8-replica sweep over hundreds of requests costs milliseconds
-while reproducing the engine's queueing behaviour exactly.  Time comes
+while following the engine's queueing rules exactly.  Time comes
 from the same calibrated stack — the roofline prices prefill, the HBM
 stream prices decode, and TP layouts pay per-layer activation
 allreduces through :class:`~repro.parallel.collectives.CollectiveModel`.
@@ -70,30 +72,28 @@ import numpy as np
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from ..faults.model import CircuitBreaker, FaultConfig, FaultEvent, FaultModel
+from ..faults.model import FaultConfig, FaultEvent, FaultModel
 from ..frontier.hardware import GCDSpec, NodeSpec
 from ..models.config import ModelConfig
 from ..parallel.collectives import CollectiveModel
 from ..profiling.export import save_lanes_chrome_trace
 from ..profiling.tracer import TraceEvent
 from .config import (HANDOFF_POLICIES, LB_POLICIES, FailoverConfig,
-                     KVTransferConfig, RoutingConfig, ServingConfig)
-from .engine import DecodeCostModel, _validate_requests
+                     KVTransferConfig, RoutingConfig, ServingConfig,
+                     SpecDecodeConfig)
+from .engine import DecodeCostModel
 from .kv_pool import PagedKVPool
-from .metrics import RequestRecord, ServingMetrics, TimelineSample
+from .metrics import ServingMetrics
+from .replica import REPLICA_ROLES, ReplicaServer
 from .results import (FailedRequest, ServingResultBase, ShedRequest,
                       TimedOutRequest, TransferRecord, slo_availability)
-from .scheduler import (RUNNING, ContinuousBatchScheduler, Request,
-                        apply_degradation, estimate_backlog_eta,
-                        next_prefill_target)
+from .scheduler import Request, estimate_backlog_eta
 from .transfer import KVTransferModel
 
 __all__ = ["ReplicaLayout", "ClusterConfig", "ReplicaServer",
-           "ClusterSimulator", "ClusterResult", "LB_POLICIES",
-           "HANDOFF_POLICIES", "REPLICA_ROLES", "format_cluster"]
-
-#: Roles a replica can serve under (``mixed`` = colocated baseline).
-REPLICA_ROLES = ("prefill", "decode", "mixed")
+           "TimingExecutor", "ClusterSimulator", "ClusterResult",
+           "LB_POLICIES", "HANDOFF_POLICIES", "REPLICA_ROLES",
+           "format_cluster"]
 
 #: Timing-level replicas decode this placeholder instead of real tokens;
 #: it is outside every vocabulary, so an ``eos_id`` never matches and a
@@ -235,569 +235,60 @@ class ClusterConfig:
             raise ValueError(f"num_nodes must be >= 1: {self.num_nodes}")
 
 
-class ReplicaServer:
-    """One timing-level serving replica inside the cluster.
+class TimingExecutor:
+    """Sentinel-token work for a timing-level cluster replica.
 
-    Reuses :class:`ContinuousBatchScheduler` and :class:`PagedKVPool`
-    unchanged — admission, token budgets, LIFO preemption, and recompute
-    behave exactly as in :class:`ServingEngine` — but decodes sentinel
-    tokens on the virtual clock instead of running the model.  The
-    cluster steps replicas in clock order up to each router event, so
-    routing policies observe each replica's queue state at any arrival
-    instant.
+    No model runs: prefill and decode append :data:`_SENTINEL` tokens,
+    and a speculative window keeps each drafted token with probability
+    ``SpecDecodeConfig.acceptance`` until the first rejection (a seeded
+    truncated-geometric draw), so the replica's queueing follows the
+    engine's rules at a fraction of the cost.
     """
 
-    def __init__(self, node_index: int, replica_index: int,
-                 model_config: ModelConfig, serving: ServingConfig,
-                 cost: DecodeCostModel, pool: PagedKVPool,
-                 role: str = "mixed"):
-        if role not in REPLICA_ROLES:
-            raise ValueError(
-                f"role must be one of {REPLICA_ROLES}: {role!r}")
-        self.node_index = node_index
-        self.replica_index = replica_index
-        self.role = role
-        #: finished prefills awaiting KV shipment, as ``(request,
-        #: handoff_time)`` — drained by the cluster after every step
-        self.outbox: list[tuple[Request, float]] = []
-        #: flat position in the cluster's replica list (set by the owner)
-        self.index = 0
-        self.model_config = model_config
-        self.pool = pool
-        self.cost = cost
-        self.scheduler = ContinuousBatchScheduler(
-            pool, serving.scheduler_config())
-        self.max_steps = serving.max_steps
-        self.prefill_chunk = serving.prefill_chunk_tokens
-        # Timing-level prefix cache: tracks token structure + refcounts
-        # (no KV payload — decode is sentinel-level), discounting the
-        # billed prefill of matched prefixes.  Cached blocks are charged
-        # to this replica's pool; admission reclaims them LRU-first.
-        self.prefix_cache = serving.build_prefix_cache(
-            model_config, pool, store_kv=False)
-        if self.prefix_cache is not None:
-            self.scheduler.reclaim = self._cache_reclaim
-        # Timing-level speculative decoding: decode steps emit a seeded
-        # truncated-geometric number of sentinels per request (per-token
-        # acceptance probability ``spec.acceptance``), priced as one
-        # stacked verify pass plus, for a model draft, k draft steps.
-        self.spec = serving.spec_decode
-        self.draft_cost = None
-        self._spec_rng = None
-        self.spec_steps = 0
-        self.draft_proposed = 0
-        self.draft_accepted = 0
-        if self.spec is not None:
-            if self.spec.acceptance is None:
+    #: no KV is held, so the prefix cache tracks token structure only
+    packed = None
+
+    def __init__(self, spec: SpecDecodeConfig | None, seed: tuple):
+        self.acceptance = None
+        self._rng = None
+        if spec is not None:
+            if spec.acceptance is None:
                 raise ValueError(
                     "cluster replicas decode sentinel tokens, so "
                     "SpecDecodeConfig.acceptance (the assumed per-token "
                     "draft acceptance probability) must be set")
-            draft_cfg = self.spec.draft_config(model_config)
-            if draft_cfg is not None:
-                self.draft_cost = DecodeCostModel(
-                    draft_cfg, gcd=cost.gcd,
-                    step_overhead_s=cost.step_overhead_s, tp=cost.tp,
-                    collectives=cost.collectives)
-            self._spec_rng = np.random.default_rng(np.random.SeedSequence(
-                (0x5BEC, node_index, replica_index)))
-        self.clock = 0.0
-        self.records: list[RequestRecord] = []
-        self.timeline: list[TimelineSample] = []
-        self.events: list[TraceEvent] = []
-        self._steps = 0
-        # -- overload state (inert defaults; `OverloadConfig()` keeps
-        #    every branch below cold so the default path stays
-        #    bit-identical) ---------------------------------------------
-        self.overload = serving.overload
-        #: set by the cluster when any request carries a deadline
-        self.deadline_checks = False
-        #: cancelled requests as ``(request, cancelled_at, stage)`` —
-        #: drained by the cluster after every step, like the outbox
-        self.timeouts: list[tuple[Request, float, str]] = []
-        self.breaker = CircuitBreaker(
-            self.overload.breaker_cooldown_s,
-            self.overload.breaker_probes) if self.overload.breaker else None
-        # -- fault state (inert defaults; the fault-free path never
-        #    mutates them, keeping that path bit-identical) -------------
-        #: whether the replica processes work (False between fail/recover)
-        self.alive = True
-        #: the router's view; stays True until the health check fires
-        self.healthy = True
-        #: active (start, end, factor) step-duration stretch windows
-        self.slow_windows: list[tuple[float, float, float]] = []
-        #: share of a decode step spent in TP allreduces (0 for TP=1) —
-        #: what a degraded link can actually slow down.  Taken at a
-        #: representative single-request, 512-token context point; the
-        #: ratio moves little across batch shapes.
-        self.comm_fraction = 0.0
-        if cost.tp > 1:
-            step_s = cost.decode_step_time(1, 512)
-            if step_s > 0:
-                self.comm_fraction = min(1.0, cost._tp_comm(1) / step_s)
+            self.acceptance = spec.acceptance
+            self._rng = np.random.default_rng(np.random.SeedSequence(seed))
 
-    @property
-    def name(self) -> str:
-        return f"node{self.node_index}/replica{self.replica_index}"
+    def adopt_prefix(self, req: Request, match, cache) -> None:
+        """Hold the match lease until the request leaves the replica.
 
-    # -- state the load balancer reads ---------------------------------
-    @property
-    def busy(self) -> bool:
-        return not self.scheduler.idle
-
-    @property
-    def outstanding(self) -> int:
-        """Routed-but-unfinished requests (waiting + running)."""
-        return len(self.scheduler.waiting) + len(self.scheduler.running)
-
-    @property
-    def kv_demand_tokens(self) -> int:
-        """Worst-case KV token demand of everything routed here."""
-        return sum(r.budget_tokens for r in self.scheduler.waiting) \
-            + sum(r.budget_tokens for r in self.scheduler.running)
-
-    # ------------------------------------------------------------------
-    def _event(self, request_id: int, stage: str, start: float,
-               duration: float = 0.0) -> None:
-        phase = "compute" if stage in ("prefill", "prefill-chunk",
-                                       "decode") else "io"
-        self.events.append(TraceEvent(f"req{request_id}/{stage}", start,
-                                      duration, stage, phase))
-
-    def _fault_event(self, stage: str, start: float,
-                     duration: float = 0.0) -> None:
-        self.events.append(TraceEvent(f"fault/{stage}", start, duration,
-                                      stage, "fault"))
-
-    # -- prefix-cache hooks ---------------------------------------------
-    def _cache_reclaim(self, blocks: int) -> int:
-        """LRU-evict cache blocks for admission; traces the eviction."""
-        freed = self.prefix_cache.evict(blocks)
-        if freed:
-            self.events.append(TraceEvent(f"cache/evict x{freed}",
-                                          self.clock, 0.0, "cache-evict",
-                                          "io"))
-        return freed
-
-    def _release_cache(self, req: Request) -> None:
-        if req.cache_match is not None:
-            self.prefix_cache.release(req.cache_match)
-            req.cache_match = None
-
-    def _cache_admit(self, req: Request) -> int:
-        """Match + lease the cached prefix; returns matched tokens."""
-        match = self.prefix_cache.match(req.prompt)
-        matched = 0
-        if match.hit:
-            req.cache_match = match
-            req.prefill_pos = match.tokens
-            matched = match.tokens
-        self._event(req.request_id,
-                    "cache-hit" if matched else "cache-miss", self.clock)
-        return matched
-
-    def _cache_allowed(self, req: Request) -> bool:
-        """Degraded requests bypass the cache when so configured."""
-        return self.prefix_cache is not None and not (
-            req.degraded and self.overload.degrade_bypass_cache)
-
-    # -- overload hooks -------------------------------------------------
-    def _timeout(self, req: Request, stage: str) -> None:
-        self._event(req.request_id, "timeout", self.clock)
-        self.timeouts.append((req, self.clock, stage))
-
-    def _cancel_timeouts(self) -> None:
-        """Cancel expired requests, unwinding every piece of held state.
-
-        Runs at each step boundary (cancellation granularity matches the
-        simulation's time granularity): queued requests just leave the
-        queue; running ones additionally release their pool allocation
-        and prefix-cache lease.  Requests parked in the outbox already
-        freed both at handoff — only the pending shipment is dropped.
+        With no private KV copy, the lease is what keeps the shared
+        prefix blocks resident while the request decodes over them.
         """
-        now = self.clock
-        sched = self.scheduler
-        expired = [r for r in sched.waiting
-                   if r.deadline_s is not None and now > r.deadline_s]
-        for req in expired:
-            sched.waiting.remove(req)
-            if self.prefix_cache is not None:
-                self._release_cache(req)
-            stage = "decode" if req.prefill_pos >= req.prompt_len \
-                else "queued"
-            self._timeout(req, stage)
-        expired = [r for r in sched.running
-                   if r.deadline_s is not None and now > r.deadline_s]
-        for req in expired:
-            sched.running.remove(req)
-            self.pool.free(req.request_id)
-            if self.prefix_cache is not None:
-                self._release_cache(req)
-            stage = "prefill" if req.prefill_pos < req.prompt_len \
-                else "decode"
-            self._timeout(req, stage)
-        if self.outbox:
-            kept = []
-            for req, ready in self.outbox:
-                if req.deadline_s is not None and now > req.deadline_s:
-                    self._timeout(req, "handoff")
-                else:
-                    kept.append((req, ready))
-            self.outbox = kept
+        req.cache_match = match
 
-    def _breaker_event(self, transition: str, start: float) -> None:
-        self.events.append(TraceEvent(
-            f"breaker/{transition}", start, 0.0,
-            f"breaker-{transition}", "fault"))
+    def prefill(self, req: Request, tokens: int) -> int:
+        req.prefill_pos += tokens
+        if req.prefill_pos >= req.prompt_len:
+            req.output.append(_SENTINEL)
+        return 0  # no draft model runs, so no draft prefill is billed
 
-    def breaker_allows(self, now: float) -> bool:
-        """Whether the circuit breaker admits traffic at ``now``."""
-        if self.breaker is None:
-            return True
-        was_open = self.breaker.state == "open"
-        ok = self.breaker.available(now)
-        if was_open and self.breaker.state == "half-open":
-            self._breaker_event("half-open", now)
-        return ok
-
-    def breaker_admit(self, now: float) -> None:
-        if self.breaker is not None:
-            self.breaker.note_admit(now)
-
-    def breaker_trip(self, now: float, hold_s: float) -> None:
-        if self.breaker is not None:
-            self.breaker.trip(now, hold_s)
-            self._breaker_event("open", now)
-
-    # -- fault-injection hooks (driven by the cluster simulator) --------
-    def _slowdown(self) -> float:
-        """Product of active stretch factors at the current clock."""
-        factor = 1.0
-        for start, end, f in self.slow_windows:
-            if start <= self.clock < end:
-                factor *= f
-        return factor
-
-    def kill(self, now: float) -> None:
-        """Fail the replica at ``now`` (a step boundary >= the onset)."""
-        self.alive = False
-        self.clock = max(self.clock, now)
-        self._fault_event("fail", self.clock)
-
-    def take_in_flight(self) -> list[Request]:
-        """Extract every routed-but-unfinished request (detection time).
-
-        Frees the dead replica's pool allocations so a later
-        :meth:`revive` starts from an empty pool; the caller owns the
-        returned requests (they are failed over or abandoned).
-        """
-        sched = self.scheduler
-        doomed = list(sched.running) + list(sched.waiting)
-        # Handed-off requests whose transfer has not departed yet die
-        # with the replica too (their KV lived in its HBM).
-        doomed += [req for req, _ in self.outbox]
-        self.outbox.clear()
-        for req in sched.running:
-            self.pool.free(req.request_id)
-        sched.running.clear()
-        sched.waiting.clear()
-        if self.prefix_cache is not None:
-            # A dead replica loses its HBM contents: release the doomed
-            # requests' leases, then drop every cached block.
-            for req in doomed:
-                self._release_cache(req)
-            self.prefix_cache.clear()
-        return doomed
-
-    def revive(self, now: float) -> None:
-        """Bring the replica back into the candidate set at ``now``."""
-        self.alive = True
-        self.healthy = True
-        self.clock = max(self.clock, now)
-        self._fault_event("recover", self.clock)
-
-    def enqueue(self, request: Request, now: float) -> None:
-        """Accept a routed request; the caller has lifted our clock."""
-        self._event(request.request_id, "route", now)
-        self.scheduler.submit(request)
-
-    def _finish(self, request: Request) -> None:
-        if self.prefix_cache is not None:
-            self._release_cache(request)
-        self.scheduler.finish(request, self.clock)
-        self._event(request.request_id, "decode", request.first_token_time,
-                    self.clock - request.first_token_time)
-        self._event(request.request_id, "finish", self.clock)
-        self.records.append(RequestRecord(
-            request_id=request.request_id, arrival=request.arrival_time,
-            admit=request.admit_time, first_token=request.first_token_time,
-            finish=self.clock, prompt_len=request.prompt_len,
-            output_len=len(request.output),
-            preemptions=request.preemptions, retries=request.retries,
-            deadline=request.deadline_s, degraded=request.degraded))
-        self._probe_succeeded()
-
-    def _probe_succeeded(self) -> None:
-        """A request left this replica served: a half-open breaker closes."""
-        if self.breaker is not None \
-                and self.breaker.state == "half-open":
-            self.breaker.note_success()
-            self._breaker_event("close", self.clock)
-
-    # -- disaggregation: prefill hand-off and decode import -------------
-    def _hand_off(self, req: Request) -> None:
-        """Prefill done: free local state, park in the outbox.
-
-        The request leaves this replica's scheduler and pool at the
-        handoff instant — the KV is on its way out, and the freed slots
-        are what lets a dedicated prefill replica sustain throughput.
-        The cluster drains the outbox after every step and turns each
-        entry into a priced KV-transfer toward a decode replica.  A
-        handoff is all a prefill replica ever completes, so it is what
-        closes a half-open breaker there.
-        """
-        if self.prefix_cache is not None:
-            self._release_cache(req)
-        self.scheduler.running.remove(req)
-        self.pool.free(req.request_id)
-        self._event(req.request_id, "handoff", self.clock)
-        self.outbox.append((req, self.clock))
-        self._probe_succeeded()
-
-    def _admit_imports(self) -> None:
-        """Admission for decode-role replicas: import handed-off KV.
-
-        The KV arrives already computed, so there is nothing to
-        re-prefill and recompute-preemption is impossible here; instead
-        the full worst-case context (``budget_tokens``) is reserved up
-        front, so an imported request always runs to completion without
-        evicting anyone.  ``admit_time`` / ``first_token_time`` keep the
-        values the prefill replica set — TTFT was already served there.
-        """
-        sched = self.scheduler
-        sched._sort_waiting()
-        remaining: list[Request] = []
-        for req in sched.waiting:
-            if (len(sched.running) < sched.config.max_batch_size
-                    and sched.batch_budget_tokens() + req.budget_tokens
-                    <= sched.config.max_batch_tokens
-                    and self.pool.allocate(req.request_id,
-                                           req.budget_tokens)):
-                req.state = RUNNING
-                sched.running.append(req)
-                self._event(req.request_id, "kv-import", self.clock)
-            else:
-                remaining.append(req)
-        sched.waiting = remaining
-
-    def step(self) -> None:
-        """One scheduling iteration: admit + prefill, or one decode step."""
-        if self._steps >= self.max_steps:
-            raise RuntimeError(
-                f"{self.name} exceeded {self.max_steps} steps")
-        self._steps += 1
-        sched = self.scheduler
-        if self.deadline_checks:
-            self._cancel_timeouts()
-
-        # A prefill replica hands admitted requests off within the same
-        # step, leaving ``running`` empty again — progress that the
-        # deadlock guard below must see, or a backlogged prefill replica
-        # would be declared stuck the moment its admit round overflows.
-        progress = False
-        if self.role == "decode":
-            self._admit_imports()
-        else:
-            for req in sched.admit(self.clock):
-                progress = True
-                self._event(req.request_id, "admit", self.clock)
-                overload = self.overload
-                if overload.degrading and len(sched.waiting) \
-                        >= overload.degrade_queue_depth:
-                    apply_degradation(req, overload.degrade_max_new_tokens)
-                    self._event(req.request_id, "degrade", self.clock)
-                matched = 0
-                if self._cache_allowed(req):
-                    matched = self._cache_admit(req)
-                elif self.prefix_cache is not None:
-                    self.prefix_cache.stats.bypassed += 1
-                if self.prefill_chunk is not None:
-                    continue  # encoded chunk by chunk below
-                start = self.clock
-                if matched:
-                    # The cached prefix skips its prefill; the suffix is
-                    # priced as a chunk attending over the resident
-                    # prefix.
-                    duration = self.cost.chunked_prefill_time(
-                        req.prompt_len - matched, matched)
-                else:
-                    duration = self.cost.prefill_time(req.prompt_len)
-                if self.slow_windows:
-                    stretch = self._slowdown()
-                    if stretch != 1.0:
-                        duration *= stretch
-                req.prefill_pos = req.prompt_len
-                req.output.append(_SENTINEL)
-                self.clock = start + duration
-                self._event(req.request_id, "prefill", start, duration)
-                if self._cache_allowed(req):
-                    self.prefix_cache.insert(req.prompt)
-                req.first_token_time = self.clock
-                if req.done:
-                    self._finish(req)
-                elif self.role == "prefill":
-                    self._hand_off(req)
-
-            if self.prefill_chunk is not None:
-                target = next_prefill_target(sched.running)
-                if target is not None:
-                    progress = True
-                    chunk = min(self.prefill_chunk,
-                                target.prompt_len - target.prefill_pos)
-                    duration = self.cost.chunked_prefill_time(
-                        chunk, target.prefill_pos)
-                    if self.slow_windows:
-                        stretch = self._slowdown()
-                        if stretch != 1.0:
-                            duration *= stretch
-                    start = self.clock
-                    target.prefill_pos += chunk
-                    self.clock = start + duration
-                    self._event(target.request_id, "prefill-chunk", start,
-                                duration)
-                    if target.prefill_pos >= target.prompt_len:
-                        target.output.append(_SENTINEL)
-                        if self._cache_allowed(target):
-                            self.prefix_cache.insert(target.prompt)
-                        target.first_token_time = self.clock
-                        if target.done:
-                            self._finish(target)
-                        elif self.role == "prefill":
-                            self._hand_off(target)
-
-        if not sched.running:
-            if sched.waiting and not progress:
-                # Queue non-empty yet nothing admitted: force space for
-                # the head request (it fits alone, per validation),
-                # draining the cache before declaring deadlock.
-                victim = sched.preempt_victim()
-                if victim is None:
-                    if self.prefix_cache is not None \
-                            and self._cache_reclaim(
-                                self.pool.num_blocks) > 0:
-                        return
-                    raise RuntimeError(
-                        f"{self.name} deadlock: empty batch but admission "
-                        f"failed")
-                if self.prefix_cache is not None:
-                    self._release_cache(victim)
-                self._event(victim.request_id, "preempt", self.clock)
-            return
-
-        batch = [r for r in sched.running
-                 if r.prefill_pos >= r.prompt_len]
-        # Speculative window for this step, clipped exactly as in the
-        # engine (a plain step is spec_extra == 1).
-        k_eff = 0
-        spec_extra = 1
-        if self.spec is not None and batch:
-            ctx_max = max(r.context_len for r in batch)
-            rem_min = min(r.max_new_tokens - len(r.output) for r in batch)
-            k_eff = min(self.spec.k,
-                        self.model_config.max_seq_len - 1 - ctx_max,
-                        rem_min - 1)
-            if k_eff >= 1:
-                spec_extra = k_eff + 1
-            else:
-                k_eff = 0
+    def decode(self, batch: list[Request]) -> None:
         for req in batch:
-            if req not in sched.running:
-                continue  # preempted earlier in this same step
-            preempted_self = False
-            while not self.pool.allocate(req.request_id,
-                                         req.context_len + spec_extra):
-                # Unreferenced cache blocks are reclaimed before anyone
-                # is preempted — eviction costs nothing, preemption
-                # discards prefill progress.
-                if self.prefix_cache is not None \
-                        and self._cache_reclaim(1) > 0:
-                    continue
-                if spec_extra > 1:
-                    # Never preempt anyone just to fit the speculative
-                    # window: fall back to a plain step (engine rule).
-                    k_eff = 0
-                    spec_extra = 1
-                    continue
-                # Same youngest-first (vLLM recompute) rule as the engine.
-                victim = sched.running[-1]
-                sched.preempt(victim)
-                if self.prefix_cache is not None:
-                    self._release_cache(victim)
-                self._event(victim.request_id, "preempt", self.clock)
-                if victim is req:
-                    preempted_self = True
-                    break
-            if preempted_self:
-                continue
-        survivors = [r for r in batch if r in sched.running]
-        if not survivors:
-            return
-        if k_eff >= 1:
-            # Seeded truncated-geometric acceptance: each of the k_eff
-            # drafted positions is kept with probability ``acceptance``
-            # until the first rejection; the bonus token always lands.
-            for req in survivors:
-                room = min(k_eff, req.max_new_tokens - len(req.output) - 1)
-                accepted = 0
-                while accepted < room \
-                        and self._spec_rng.random() < self.spec.acceptance:
-                    accepted += 1
-                req.output.extend([_SENTINEL] * (accepted + 1))
-                self.draft_accepted += accepted
-            self.spec_steps += 1
-            self.draft_proposed += k_eff * len(survivors)
-            total_ctx = sum(r.context_len for r in survivors)
-            step_s = self.cost.verify_step_time(len(survivors), total_ctx,
-                                                k_eff + 1)
-            if self.draft_cost is not None:
-                step_s += k_eff * self.draft_cost.decode_step_time(
-                    len(survivors), total_ctx)
-        else:
-            for req in survivors:
-                req.output.append(_SENTINEL)
-            total_ctx = sum(r.context_len for r in survivors)
-            # Billed with the executed batch shape (no max(1, ...)
-            # floor): a step that decodes nothing charges nothing.
-            step_s = self.cost.decode_step_time(len(survivors), total_ctx)
-        if self.slow_windows:
-            stretch = self._slowdown()
-            if stretch != 1.0:
-                step_s *= stretch
-        self.clock += step_s
-        for req in survivors:
-            if req.done:
-                self._finish(req)
-        self.timeline.append(TimelineSample(
-            time=self.clock, queue_depth=sched.queue_depth,
-            batch_size=len(survivors),
-            pool_utilization=self.pool.utilization,
-            context_tokens=total_ctx))
+            req.output.append(_SENTINEL)
 
-    def advance_to(self, t: float) -> None:
-        """Run until the local clock reaches ``t`` (or the replica idles).
-
-        A dead replica does no work; its clock still moves to ``t`` so
-        that the revival time is well-ordered with the router's clock.
-        """
-        while self.clock < t and self.busy and self.alive:
-            self.step()
-        if self.clock < t:
-            self.clock = t
-
-    def drain(self) -> None:
-        """Run every routed request to completion."""
-        while self.busy:
-            self.step()
+    def verify(self, batch: list[Request], k: int) -> list[int]:
+        """Draw each request's accepted count; the bonus token always lands."""
+        accepted = []
+        for req in batch:
+            room = min(k, req.max_new_tokens - len(req.output) - 1)
+            n = 0
+            while n < room and self._rng.random() < self.acceptance:
+                n += 1
+            req.output.extend([_SENTINEL] * (n + 1))
+            accepted.append(n)
+        return accepted
 
 
 @dataclass
@@ -904,6 +395,8 @@ class ClusterSimulator:
             ReplicaServer(n, r, model_config, serving, cost,
                           PagedKVPool(model_config, pool_config,
                                       gcd=self.gcd),
+                          TimingExecutor(serving.spec_decode,
+                                         (0x5BEC, n, r)),
                           role=layout.role_of(r))
             for n in range(self.config.num_nodes)
             for r in range(layout.replicas_per_node)
@@ -1345,9 +838,7 @@ class ClusterSimulator:
         """Serve the workload to completion across all nodes."""
         if not requests:
             raise ValueError("no requests to serve")
-        first = self.replicas[0]
-        _validate_requests(requests, first.pool, first.scheduler.config,
-                           self.model_config.max_seq_len)
+        self.replicas[0].validate(requests)
         arrivals = sorted(requests, key=lambda r: (r.arrival_time,
                                                    r.request_id))
         self.assignments: dict[int, tuple[int, int]] = {}

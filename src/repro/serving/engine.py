@@ -4,6 +4,10 @@ The engine runs the *real* model — every token is produced by the NumPy
 forward pass over per-request KV caches, so engine outputs are
 bit-identical to ``GPTModel.generate(use_cache=True)`` greedy decoding —
 while time is charged on a *virtual clock* by :class:`DecodeCostModel`.
+The serving rules themselves live in
+:class:`~repro.serving.replica.ReplicaServer`, shared with the cluster
+simulator; this module supplies its :class:`NumericExecutor` and the
+engine's front end.
 The split mirrors the repo's two-track design (docs/ARCHITECTURE.md):
 token semantics are exact, timing is a calibrated analytic model, and
 the combination keeps every trace deterministic under a fixed seed.
@@ -35,18 +39,16 @@ from ..models.flops import GEMMShape
 from ..models.packed_kv import PackedKVPool
 from ..models.speculative import SamplingParams, sample_token, spec_decode_step
 from ..parallel.collectives import CollectiveModel, GroupTopology
-from ..profiling.tracer import TraceEvent
 from .config import ServingConfig
 from .kv_pool import PagedKVPool, kv_bytes_per_token
-from .metrics import RequestRecord, ServingMetrics, TimelineSample
+from .metrics import RequestRecord, ServingMetrics
 from .perf_model import TP_ALLREDUCES_PER_LAYER
+from .replica import ReplicaServer
 from .results import ServeResult, ShedRequest, TimedOutRequest
-from .scheduler import (ContinuousBatchScheduler, Request,
-                        apply_degradation, estimate_backlog_eta,
-                        next_prefill_target)
+from .scheduler import Request, estimate_backlog_eta
 
-__all__ = ["DecodeCostModel", "ServeResult", "ServingEngine",
-           "run_sequential"]
+__all__ = ["DecodeCostModel", "NumericExecutor", "ServeResult",
+           "ServingEngine", "run_sequential"]
 
 
 class DecodeCostModel:
@@ -165,42 +167,159 @@ class DecodeCostModel:
         return base
 
 
-def _validate_requests(requests: list[Request], pool: PagedKVPool,
-                       scheduler_config: SchedulerConfig,
-                       max_seq_len: int) -> None:
-    """Reject requests that can never be served by this replica shape.
+class NumericExecutor:
+    """Token work on the real model, for a :class:`ReplicaServer`.
 
-    Shared by :class:`ServingEngine` and the cluster replicas, so a
-    request that would deadlock one simulated node fails loudly at
-    submission in both paths.
+    Each running request leases one slot of a :class:`PackedKVPool`
+    when it first needs KV storage (admission is capped at
+    ``max_batch_size`` seats, so a slot is always free) and returns it
+    when it finishes, is preempted, or is cancelled.  Decoding is greedy
+    per request unless the request samples, in which case it draws from
+    its private seeded stream with the same warping ops as
+    ``GPTModel.generate`` — engine and sequential outputs stay
+    bit-identical either way.
     """
-    token_budget = scheduler_config.max_batch_tokens
-    need = pool.capacity_tokens()
-    for req in requests:
-        if req.budget_tokens > max_seq_len:
-            raise ValueError(
-                f"request {req.request_id}: prompt {req.prompt_len} + "
-                f"max_new_tokens {req.max_new_tokens} exceeds "
-                f"max_seq_len {max_seq_len}")
-        if req.budget_tokens > token_budget:
-            raise ValueError(
-                f"request {req.request_id}: {req.budget_tokens} tokens "
-                f"exceed max_batch_tokens {token_budget}")
-        if pool.blocks_needed(req.budget_tokens) > pool.num_blocks:
-            raise ValueError(
-                f"request {req.request_id} can never fit the pool "
-                f"({req.budget_tokens} tokens vs {need} slots)")
+
+    def __init__(self, model, config: ServingConfig):
+        self.model = model
+        self.packed = PackedKVPool.for_model(
+            model.config, num_slots=config.max_batch_size,
+            block_tokens=config.block_size)
+        # Speculative decoding: a draft proposer keyed by request_id
+        # (ModelDraft leases a lockstep slot in its own packed pool;
+        # NGramDraft is stateless).
+        spec = config.spec_decode
+        self.proposer = None
+        self.model_draft = False
+        if spec is not None:
+            self.proposer = spec.build_proposer(
+                model.config, config.max_batch_size,
+                block_tokens=config.block_size)
+            self.model_draft = spec.draft_config(model.config) is not None
+
+    def _lease(self, req: Request) -> None:
+        if req.slot is None:
+            req.slot = self.packed.acquire()
+            req.caches = self.packed.slot_caches(req.slot)
+
+    def release(self, req: Request) -> None:
+        """Return the request's slot and draft state (finish/preempt/cancel)."""
+        self.packed.release(req.slot)
+        req.slot = None
+        if self.proposer is not None:
+            self.proposer.release(req.request_id)
+
+    def _emit(self, req: Request, logits_row: np.ndarray) -> None:
+        """Append the next token: argmax (greedy) or per-request sampling."""
+        if not req.sampling:
+            req.output.append(int(logits_row.argmax()))
+            return
+        params = SamplingParams(req.temperature, req.top_k, req.top_p)
+        req.output.append(sample_token(logits_row, params, req.make_rng()))
+
+    def _attach(self, req: Request) -> int:
+        """Start the draft proposer for a request about to decode.
+
+        Returns the context tokens to bill as a draft prefill (a model
+        draft prefills its own slot over them; the n-gram draft is
+        free).
+        """
+        if self.proposer is None or req.done:
+            return 0
+        ctx = np.concatenate([req.prompt,
+                              np.asarray(req.output[:-1], dtype=np.int64)])
+        self.proposer.start(req.request_id, ctx)
+        return len(ctx) if self.model_draft else 0
+
+    def adopt_prefix(self, req: Request, match, cache) -> None:
+        """Copy a cached prefix's KV into the request's slot.
+
+        The match lease is released as soon as the KV is copied: the
+        copy (not the cached block) is what the request decodes over,
+        so pinning the cache for the request's lifetime would only
+        double-count pool demand — under pressure that pins eviction
+        *and* preemption into a livelock.  The reference is held exactly
+        across the copy, which is the window where eviction could
+        corrupt it.
+        """
+        self._lease(req)
+        cache.copy_into(match, self.packed, req.slot)
+        cache.release(match)
+
+    def restore(self, req: Request) -> int:
+        """Re-import a preempted request's captured KV snapshot."""
+        self._lease(req)
+        k_parts, v_parts = req.saved_kv
+        self.packed.import_span(req.slot, 0, k_parts, v_parts)
+        req.prefill_pos = req.prompt_len
+        req.saved_kv = None
+        req.saved_len = 0
+        return self._attach(req)
+
+    def prefill(self, req: Request, tokens: int) -> int:
+        """Forward the next ``tokens`` prompt positions over the slot.
+
+        With a prefix-cache hit the slot already holds ``prefill_pos``
+        positions of KV, so only the suffix is forwarded.  Chunk
+        boundaries do not change the tokens produced — the cached
+        forward is incremental by construction, so the logits of the
+        last prompt token are bit-identical to one uncached forward.
+        """
+        self._lease(req)
+        start = req.prefill_pos
+        logits = self.model._forward_cached(
+            req.prompt[None, start:start + tokens], req.caches)
+        req.prefill_pos = start + tokens
+        if req.prefill_pos < req.prompt_len:
+            return 0
+        self._emit(req, logits.data[0, -1])
+        return self._attach(req)
+
+    def decode(self, batch: list[Request]) -> None:
+        """One stacked decode forward over the batch's slots."""
+        last = np.array([r.output[-1] for r in batch], dtype=np.int64)
+        logits = self.model.decode_step_batched(
+            last, self.packed, [r.slot for r in batch])
+        for i, req in enumerate(batch):
+            self._emit(req, logits[i])
+
+    def verify(self, batch: list[Request], k: int) -> list[int]:
+        """Propose ``k`` tokens per request and verify them in one pass.
+
+        All suffixes go through one stacked ``(batch, k + 1)`` forward;
+        rejected tokens roll back via ``PackedKVPool.truncate``.
+        """
+        contexts = [np.concatenate([np.asarray(r.prompt, dtype=np.int64),
+                                    np.asarray(r.output, dtype=np.int64)])
+                    for r in batch]
+        results = spec_decode_step(
+            self.model, self.packed, [r.slot for r in batch],
+            self.proposer, contexts,
+            [SamplingParams(temperature=r.temperature, top_k=r.top_k,
+                            top_p=r.top_p) for r in batch],
+            [r.make_rng() if r.sampling else None for r in batch],
+            k, [r.max_new_tokens - len(r.output) for r in batch],
+            [r.eos_id for r in batch],
+            keys=[r.request_id for r in batch])
+        for req, (emitted, _) in zip(batch, results):
+            req.output.extend(emitted)
+        return [accepted for _, accepted in results]
 
 
 class ServingEngine:
     """Continuous-batching inference over a paged KV pool.
 
+    One :class:`ReplicaServer` runs the serving rules with a
+    :class:`NumericExecutor`; the engine adds the front end: it submits
+    arrivals in clock order after the shed check and jumps the clock
+    to the next arrival when the replica idles.
+
     Parameters
     ----------
     model:
         A :class:`~repro.models.GPTModel`; decoding is greedy (the
-        serving analogue of ``temperature=0``), which keeps preemption-
-        recompute lossless.
+        serving analogue of ``temperature=0``) unless a request sets a
+        temperature, which keeps preemption-recompute lossless.
     config:
         A :class:`ServingConfig` describing scheduler policy, pool
         geometry, cost knobs, and the step bound.
@@ -213,543 +332,107 @@ class ServingEngine:
                  cost_model: DecodeCostModel | None = None):
         self.model = model
         self.config = config or ServingConfig()
-        sched_cfg = self.config.scheduler_config()
-        self.max_steps = self.config.max_steps
         self.pool = pool or self.config.build_pool(model.config)
-        self.scheduler = ContinuousBatchScheduler(self.pool, sched_cfg)
         self.cost = cost_model or self.config.build_cost_model(model.config)
-        self.prefill_chunk = self.config.prefill_chunk_tokens
-        # Real KV storage: one packed slot per batch seat (admission is
-        # capped at max_batch_size, so acquire() can never run dry).
-        self.packed = PackedKVPool.for_model(
-            model.config, num_slots=sched_cfg.max_batch_size,
-            block_tokens=self.config.block_size)
-        # Radix prefix cache (optional): real KV blocks, charged to the
-        # paged pool.  The scheduler's reclaim hook lets admission evict
-        # unreferenced cache blocks instead of preempting requests.
-        self.prefix_cache = self.config.build_prefix_cache(
-            model.config, self.pool, store_kv=True)
-        if self.prefix_cache is not None:
-            self.scheduler.reclaim = self.prefix_cache.evict
-        # Speculative decoding: a draft proposer keyed by request_id
-        # (ModelDraft leases a lockstep slot in its own packed pool;
-        # NGramDraft is stateless) and a cost model for draft forwards.
-        self.spec = self.config.spec_decode
-        self.proposer = None
-        self.draft_cost = None
-        if self.spec is not None:
-            self.proposer = self.spec.build_proposer(
-                model.config, sched_cfg.max_batch_size,
-                block_tokens=self.config.block_size)
-            draft_cfg = self.spec.draft_config(model.config)
-            if draft_cfg is not None:
-                self.draft_cost = self.config.build_cost_model(draft_cfg)
+        executor = NumericExecutor(model, self.config)
+        self.core = ReplicaServer(0, 0, model.config, self.config,
+                                  self.cost, self.pool, executor)
+        self.scheduler = self.core.scheduler
+        self.packed = executor.packed
+        self.prefix_cache = self.core.prefix_cache
+        self._shed_records: list[ShedRequest] = []
 
-    # ------------------------------------------------------------------
-    def _validate(self, requests: list[Request]) -> None:
-        _validate_requests(requests, self.pool, self.scheduler.config,
-                           self.model.config.max_seq_len)
+    def _shed_reason(self, req: Request) -> str | None:
+        """Admission-control verdict for an arriving request."""
+        core = self.core
+        sched = core.scheduler
+        overload = self.config.overload
+        policy = overload.shed_policy
+        if policy == "deadline-estimate":
+            if req.deadline_s is None:
+                return None
+            eta = estimate_backlog_eta(
+                self.cost, sched.waiting + sched.running, req,
+                sched.config.max_batch_size)
+            if core.clock + overload.estimate_margin * eta > req.deadline_s:
+                return "deadline-unattainable"
+            return None
+        if policy == "bounded-queue":
+            if len(sched.waiting) >= overload.max_queue_depth:
+                return "queue-full"
+            return None
+        if policy == "priority":
+            if len(sched.waiting) < overload.max_queue_depth:
+                return None
+            if req.tier == "batch":
+                return "queue-full"
+            # Interactive arrival at a full queue: displace the
+            # youngest queued batch-tier request instead.
+            for victim in reversed(sched.waiting):
+                if victim.tier == "batch":
+                    sched.waiting.remove(victim)
+                    self._shed(victim, "priority-evict")
+                    return None
+            return "queue-full"
+        return None
 
-    def _assign_slot(self, req: Request) -> None:
-        req.slot = self.packed.acquire()
-        req.caches = self.packed.slot_caches(req.slot)
-
-    def _release_slot(self, req: Request) -> None:
-        if req.slot is not None:
-            self.packed.release(req.slot)
-            req.slot = None
-
-    def _release_cache(self, req: Request) -> None:
-        """Drop the request's prefix-cache lease (finish or preempt)."""
-        if req.cache_match is not None:
-            self.prefix_cache.release(req.cache_match)
-            req.cache_match = None
-
-    def _emit(self, req: Request, logits_row: np.ndarray) -> None:
-        """Append the next token: argmax (greedy) or per-request sampling.
-
-        Greedy requests take the exact legacy path; sampling requests
-        draw from their private seeded stream with the same warping ops
-        as ``GPTModel.generate``, so engine and sequential outputs stay
-        bit-identical either way.
-        """
-        if not req.sampling:
-            req.output.append(int(logits_row.argmax()))
-            return
-        params = SamplingParams(req.temperature, req.top_k, req.top_p)
-        req.output.append(sample_token(logits_row, params, req.make_rng()))
-
-    def _spec_attach(self, req: Request) -> float:
-        """Start the draft proposer for a decoding request.
-
-        Returns the virtual seconds to bill (a model draft prefills its
-        own slot over the request's context; the n-gram draft is free).
-        """
-        if self.proposer is None or req.done:
-            return 0.0
-        ctx = np.concatenate([req.prompt,
-                              np.asarray(req.output[:-1], dtype=np.int64)])
-        self.proposer.start(req.request_id, ctx)
-        if self.draft_cost is not None:
-            return self.draft_cost.prefill_time(len(ctx))
-        return 0.0
-
-    def _spec_detach(self, req: Request) -> None:
-        """Release the draft proposer state (finish/preempt/cancel)."""
-        if self.proposer is not None:
-            self.proposer.release(req.request_id)
-
-    def _cache_admit(self, req: Request) -> int:
-        """Match the prompt against the prefix cache; seed the slot.
-
-        Returns the matched token count; the request's prefill resumes
-        at that position, so only the suffix is ever forwarded.  The
-        match lease is released as soon as the KV is copied into the
-        request's own slot: the copy (not the cached block) is what the
-        request decodes over, so pinning the cache for the request's
-        lifetime would only double-count pool demand — under pressure
-        that pins eviction *and* preemption into a livelock.  The
-        reference is held exactly across the copy, which is the window
-        where eviction could corrupt it.
-        """
-        match = self.prefix_cache.match(req.prompt)
-        if not match.hit:
-            return 0
-        self.prefix_cache.copy_into(match, self.packed, req.slot)
-        self.prefix_cache.release(match)
-        req.prefill_pos = match.tokens
-        return match.tokens
-
-    def _prefill(self, req: Request) -> None:
-        """Encode the (remaining) prompt and emit the first token.
-
-        With a prefix-cache hit the slot already holds ``prefill_pos``
-        positions of KV, so only the suffix is forwarded — the logits of
-        the last prompt token, and hence every output token, are
-        bit-identical to the uncached forward.
-        """
-        if req.caches is None:
-            self._assign_slot(req)
-        tokens = req.prompt[req.prefill_pos:]
-        logits = self.model._forward_cached(tokens[None], req.caches)
-        req.prefill_pos = req.prompt_len
-        self._emit(req, logits.data[0, -1])
-
-    def _prefill_chunk(self, req: Request) -> int:
-        """Encode the next <= prefill_chunk_tokens prompt positions.
-
-        Returns the chunk size; on the final chunk the first token is
-        emitted.  Chunk boundaries do not change the tokens produced —
-        the cached forward is incremental by construction.
-        """
-        chunk = min(self.prefill_chunk, req.prompt_len - req.prefill_pos)
-        tokens = req.prompt[req.prefill_pos:req.prefill_pos + chunk]
-        logits = self.model._forward_cached(tokens[None], req.caches)
-        req.prefill_pos += chunk
-        if req.prefill_pos >= req.prompt_len:
-            self._emit(req, logits.data[0, -1])
-        return chunk
-
-    def _decode_one(self, req: Request) -> None:
-        """Advance one request by one token over its caches."""
-        last = np.array([req.output[-1]], dtype=np.int64)
-        logits = self.model._forward_cached(last[None], req.caches)
-        self._emit(req, logits.data[0, -1])
+    def _shed(self, req: Request, reason: str) -> None:
+        core = self.core
+        core._note(req, "shed")
+        self._shed_records.append(ShedRequest(
+            request_id=req.request_id, arrival=req.arrival_time,
+            shed_at=core.clock, policy=self.config.overload.shed_policy,
+            reason=reason, tier=req.tier, prompt_len=req.prompt_len,
+            deadline=req.deadline_s))
 
     # ------------------------------------------------------------------
     def run(self, requests: list[Request]) -> ServeResult:
         """Serve the workload to completion; returns records + metrics."""
-        self._validate(requests)
+        core = self.core
+        core.validate(requests)
         pending = sorted(requests, key=lambda r: (r.arrival_time,
                                                   r.request_id))
-        sched = self.scheduler
-        cache = self.prefix_cache
-        overload = self.config.overload
-        # With OverloadConfig() defaults and no deadlines every overload
-        # branch below is skipped: the run is bit-identical to the
-        # pre-overload engine (pinned by the parity tests).
-        has_deadlines = any(r.deadline_s is not None for r in requests)
-        clock = 0.0
-        trace: list[tuple[float, str, int]] = []
-        events: list[TraceEvent] = []
-        records: list[RequestRecord] = []
-        shed_records: list[ShedRequest] = []
+        shedding = self.config.overload.shedding
+        # A fresh run on the same pool, scheduler, and prefix cache.
+        core.clock = 0.0
+        core._steps = 0
+        core.records, core.timeline, core.events = [], [], []
+        core.trace = []
+        core.spec_steps = core.draft_proposed = core.draft_accepted = 0
+        core.deadline_checks = any(r.deadline_s is not None
+                                   for r in requests)
+        self._shed_records = []
         timeout_records: list[TimedOutRequest] = []
-        outputs: dict[int, np.ndarray] = {}
-        timeline: list[TimelineSample] = []
-        spec_steps = 0
-        draft_proposed = 0
-        draft_accepted = 0
 
-        def event(request_id: int, stage: str, start: float,
-                  duration: float = 0.0) -> None:
-            # Same naming scheme as the cluster replicas, so engine and
-            # cluster traces open side by side in Perfetto.
-            phase = "compute" if stage in ("prefill", "prefill-chunk",
-                                           "decode") else "io"
-            events.append(TraceEvent(f"req{request_id}/{stage}", start,
-                                     duration, stage, phase))
-
-        def cache_ok(req: Request) -> bool:
-            # Degraded requests bypass prefix-cache admission (match and
-            # insert) when the config says so: under pressure the cache
-            # only adds copy traffic for work we are trying to shrink.
-            return cache is not None and not (
-                req.degraded and overload.degrade_bypass_cache)
-
-        def shed(req: Request, reason: str) -> None:
-            trace.append((clock, "shed", req.request_id))
-            event(req.request_id, "shed", clock)
-            shed_records.append(ShedRequest(
-                request_id=req.request_id, arrival=req.arrival_time,
-                shed_at=clock, policy=overload.shed_policy, reason=reason,
-                tier=req.tier, prompt_len=req.prompt_len,
-                deadline=req.deadline_s))
-
-        def shed_reason(req: Request) -> str | None:
-            """Admission-control verdict for an arriving request."""
-            policy = overload.shed_policy
-            if policy == "deadline-estimate":
-                if req.deadline_s is None:
-                    return None
-                eta = estimate_backlog_eta(
-                    self.cost, sched.waiting + sched.running, req,
-                    sched.config.max_batch_size)
-                if clock + overload.estimate_margin * eta > req.deadline_s:
-                    return "deadline-unattainable"
-                return None
-            if policy == "bounded-queue":
-                if len(sched.waiting) >= overload.max_queue_depth:
-                    return "queue-full"
-                return None
-            if policy == "priority":
-                if len(sched.waiting) < overload.max_queue_depth:
-                    return None
-                if req.tier == "batch":
-                    return "queue-full"
-                # Interactive arrival at a full queue: displace the
-                # youngest queued batch-tier request instead.
-                for victim in reversed(sched.waiting):
-                    if victim.tier == "batch":
-                        sched.waiting.remove(victim)
-                        shed(victim, "priority-evict")
-                        return None
-                return "queue-full"
-            return None
-
-        def timeout(req: Request, stage: str) -> None:
-            trace.append((clock, "timeout", req.request_id))
-            event(req.request_id, "timeout", clock)
-            timeout_records.append(TimedOutRequest(
-                request_id=req.request_id, arrival=req.arrival_time,
-                deadline=req.deadline_s, cancelled_at=clock, stage=stage,
-                prompt_len=req.prompt_len, output_len=len(req.output)))
-
-        def cancel_timeouts() -> None:
-            """Unwind every request whose deadline has passed.
-
-            Queued requests only leave the admission queue; running ones
-            also release their paged-pool allocation, packed slot, and
-            any prefix-cache lease — cancellation must leave zero
-            retained resources at every lifecycle stage.
-            """
-            expired = [r for r in sched.waiting
-                       if r.deadline_s is not None and clock > r.deadline_s]
-            for req in expired:
-                sched.waiting.remove(req)
-                timeout(req, "queued")
-            expired = [r for r in sched.running
-                       if r.deadline_s is not None and clock > r.deadline_s]
-            for req in expired:
-                sched.running.remove(req)
-                self.pool.free(req.request_id)
-                self._release_cache(req)
-                self._release_slot(req)
-                self._spec_detach(req)
-                stage = "prefill" if req.prefill_pos < req.prompt_len \
-                    else "decode"
-                timeout(req, stage)
-
-        if cache is not None:
-            def reclaim(blocks: int) -> int:
-                # Admission-time reclaim: LRU-evict unreferenced cache
-                # blocks so a new request fits without preempting anyone.
-                freed = cache.evict(blocks)
-                if freed:
-                    events.append(TraceEvent(f"cache/evict x{freed}",
-                                             clock, 0.0, "cache-evict",
-                                             "io"))
-                return freed
-            sched.reclaim = reclaim
-
-        def finish(req: Request) -> None:
-            self._release_cache(req)
-            self._release_slot(req)
-            self._spec_detach(req)
-            sched.finish(req, clock)
-            trace.append((clock, "finish", req.request_id))
-            event(req.request_id, "decode", req.first_token_time,
-                  clock - req.first_token_time)
-            event(req.request_id, "finish", clock)
-            outputs[req.request_id] = np.array(req.output, dtype=np.int64)
-            records.append(RequestRecord(
-                request_id=req.request_id, arrival=req.arrival_time,
-                admit=req.admit_time, first_token=req.first_token_time,
-                finish=clock, prompt_len=req.prompt_len,
-                output_len=len(req.output), preemptions=req.preemptions,
-                deadline=req.deadline_s, degraded=req.degraded))
-
-        steps = 0
-        while pending or not sched.idle:
-            if steps >= self.max_steps:
-                raise RuntimeError(f"engine exceeded {self.max_steps} steps")
-            steps += 1
-
-            while pending and pending[0].arrival_time <= clock:
-                req = pending.pop(0)
-                trace.append((clock, "arrive", req.request_id))
-                event(req.request_id, "arrive", clock)
-                if overload.shedding:
-                    reason = shed_reason(req)
+        index = 0
+        while index < len(pending) or core.busy:
+            while index < len(pending) \
+                    and pending[index].arrival_time <= core.clock:
+                req = pending[index]
+                index += 1
+                core._note(req, "arrive")
+                if shedding:
+                    reason = self._shed_reason(req)
                     if reason is not None:
-                        shed(req, reason)
+                        self._shed(req, reason)
                         continue
-                sched.submit(req)
-
-            if has_deadlines:
-                cancel_timeouts()
-
-            for req in sched.admit(clock):
-                trace.append((clock, "admit", req.request_id))
-                event(req.request_id, "admit", clock)
-                if overload.degrading and len(sched.waiting) \
-                        >= overload.degrade_queue_depth:
-                    apply_degradation(req, overload.degrade_max_new_tokens)
-                    trace.append((clock, "degrade", req.request_id))
-                    event(req.request_id, "degrade", clock)
-                self._assign_slot(req)
-                if req.saved_kv is not None:
-                    # State-capture resume (sampled requests): re-import
-                    # the snapshot instead of re-prefilling — the output
-                    # and RNG stream survived the preemption, so decoding
-                    # continues exactly where it stopped.
-                    k_parts, v_parts = req.saved_kv
-                    self.packed.import_span(req.slot, 0, k_parts, v_parts)
-                    start = clock
-                    clock += self.cost.restore_time(req.saved_len)
-                    event(req.request_id, "kv-restore", start,
-                          clock - start)
-                    trace.append((clock, "kv-restore", req.request_id))
-                    req.prefill_pos = req.prompt_len
-                    req.saved_kv = None
-                    req.saved_len = 0
-                    clock += self._spec_attach(req)
-                    continue
-                matched = 0
-                if cache is not None and not cache_ok(req):
-                    cache.stats.bypassed += 1
-                if cache_ok(req):
-                    matched = self._cache_admit(req)
-                    stage = "cache-hit" if matched else "cache-miss"
-                    trace.append((clock, stage, req.request_id))
-                    event(req.request_id, stage, clock)
-                if self.prefill_chunk is None:
-                    self._prefill(req)
-                    start = clock
-                    if matched:
-                        # The cached prefix skips its prefill compute;
-                        # the suffix is priced like a chunk attending
-                        # over the resident prefix KV.
-                        clock += self.cost.chunked_prefill_time(
-                            req.prompt_len - matched, matched)
-                    else:
-                        clock += self.cost.prefill_time(req.prompt_len)
-                    event(req.request_id, "prefill", start, clock - start)
-                    if cache_ok(req):
-                        cache.insert(req.prompt, self.packed, req.slot)
-                    req.first_token_time = clock
-                    if req.done:
-                        finish(req)
-                    else:
-                        clock += self._spec_attach(req)
-                # else: the prompt is encoded chunk by chunk below,
-                # interleaved with decode steps of the running batch.
-
-            if self.prefill_chunk is not None:
-                target = next_prefill_target(sched.running)
-                if target is not None:
-                    prior = target.prefill_pos
-                    chunk = self._prefill_chunk(target)
-                    start = clock
-                    clock += self.cost.chunked_prefill_time(chunk, prior)
-                    event(target.request_id, "prefill-chunk", start,
-                          clock - start)
-                    if target.prefill_pos >= target.prompt_len:
-                        req = target
-                        if cache_ok(req):
-                            cache.insert(req.prompt, self.packed, req.slot)
-                        req.first_token_time = clock
-                        if req.done:
-                            finish(req)
-                        else:
-                            clock += self._spec_attach(req)
-
-            if not sched.running:
-                if pending and not sched.waiting:
+                core.scheduler.submit(req)
+            if not core.busy:
+                if index < len(pending):
                     # Idle: jump to the next arrival.
-                    clock = max(clock, pending[0].arrival_time)
-                    continue
-                if sched.waiting:
-                    # Nothing running yet the queue is non-empty: the
-                    # head request alone must fit — force space for it,
-                    # draining the cache before declaring deadlock.
-                    victim = sched.preempt_victim()
-                    if victim is None:
-                        if cache is not None \
-                                and cache.evict(self.pool.num_blocks) > 0:
-                            events.append(TraceEvent(
-                                "cache/evict", clock, 0.0, "cache-evict",
-                                "io"))
-                            continue
-                        raise RuntimeError(
-                            "deadlock: empty batch but admission failed")
-                    self._release_cache(victim)
-                    self._release_slot(victim)
-                    self._spec_detach(victim)
-                    trace.append((clock, "preempt", victim.request_id))
-                    event(victim.request_id, "preempt", clock)
+                    core.clock = max(core.clock,
+                                     pending[index].arrival_time)
                 continue
+            core.step()
+            for req, at, stage in core.timeouts:
+                timeout_records.append(TimedOutRequest(
+                    request_id=req.request_id, arrival=req.arrival_time,
+                    deadline=req.deadline_s, cancelled_at=at, stage=stage,
+                    prompt_len=req.prompt_len, output_len=len(req.output)))
+            core.timeouts.clear()
 
-            # One continuous-batching decode step over the running set
-            # (requests still mid-prefill under chunking don't decode yet).
-            batch = [r for r in sched.running
-                     if r.prefill_pos >= r.prompt_len]
-            # Speculative window for this step: k_eff drafted tokens
-            # plus one bonus position, clipped by the tightest request's
-            # sequence-length and output-budget headroom (a plain step
-            # is spec_extra == 1).
-            k_eff = 0
-            spec_extra = 1
-            if self.proposer is not None and batch:
-                ctx_max = max(r.context_len for r in batch)
-                rem_min = min(r.max_new_tokens - len(r.output)
-                              for r in batch)
-                k_eff = min(self.spec.k,
-                            self.model.config.max_seq_len - 1 - ctx_max,
-                            rem_min - 1)
-                if k_eff >= 1:
-                    spec_extra = k_eff + 1
-                else:
-                    k_eff = 0
-            for req in batch:
-                if req not in sched.running:
-                    continue  # preempted earlier in this same step
-                preempted_self = False
-                while not self.pool.allocate(req.request_id,
-                                             req.context_len + spec_extra):
-                    # Cache blocks go first: an unreferenced LRU block
-                    # is free capacity, a preemption discards progress.
-                    if cache is not None and cache.evict(1) > 0:
-                        events.append(TraceEvent(
-                            "cache/evict", clock, 0.0, "cache-evict",
-                            "io"))
-                        continue
-                    if spec_extra > 1:
-                        # Never preempt anyone just to fit the
-                        # speculative window: degrade to a plain
-                        # single-token step for everyone instead.
-                        k_eff = 0
-                        spec_extra = 1
-                        continue
-                    victim = sched.running[-1]
-                    # Victim = youngest admission, *including* req itself
-                    # (vLLM recompute rule).  The oldest running request
-                    # is therefore never evicted, so it always completes
-                    # — without this, two requests crossing block
-                    # boundaries alternately can evict each other
-                    # forever, each eviction discarding all progress.
-                    sched.preempt(victim)
-                    self._release_cache(victim)
-                    self._release_slot(victim)
-                    self._spec_detach(victim)
-                    trace.append((clock, "preempt", victim.request_id))
-                    event(victim.request_id, "preempt", clock)
-                    if victim is req:
-                        preempted_self = True
-                        break
-                if preempted_self:
-                    continue
-            survivors = [r for r in batch if r in sched.running]
-            if not survivors:
-                continue
-
-            # The whole step is ONE stacked forward over the packed pool
-            # — the compute the cost model has credited all along.
-            slots = [r.slot for r in survivors]
-            if k_eff >= 1:
-                # Speculative step: propose k_eff tokens per request,
-                # verify all suffixes in one stacked (batch, k_eff + 1)
-                # forward, roll rejected tokens back via pool.truncate.
-                contexts = [np.concatenate([
-                    np.asarray(r.prompt, dtype=np.int64),
-                    np.asarray(r.output, dtype=np.int64)])
-                    for r in survivors]
-                results = spec_decode_step(
-                    self.model, self.packed, slots, self.proposer,
-                    contexts,
-                    [SamplingParams(temperature=r.temperature,
-                                    top_k=r.top_k, top_p=r.top_p)
-                     for r in survivors],
-                    [r.make_rng() if r.sampling else None
-                     for r in survivors],
-                    k_eff,
-                    [r.max_new_tokens - len(r.output) for r in survivors],
-                    [r.eos_id for r in survivors],
-                    keys=[r.request_id for r in survivors])
-                start = clock
-                for i, req in enumerate(survivors):
-                    emitted, acc = results[i]
-                    req.output.extend(emitted)
-                    draft_proposed += k_eff
-                    draft_accepted += acc
-                spec_steps += 1
-                total_ctx = sum(r.context_len for r in survivors)
-                # One target verify pass (weights streamed ONCE for the
-                # whole window — the speedup source) plus, for a model
-                # draft, k_eff cheap draft decode steps.
-                clock += self.cost.verify_step_time(
-                    len(survivors), total_ctx, k_eff + 1)
-                if self.draft_cost is not None:
-                    clock += k_eff * self.draft_cost.decode_step_time(
-                        len(survivors), total_ctx)
-                for i, req in enumerate(survivors):
-                    _, acc = results[i]
-                    stage = "spec-accept" if acc == k_eff \
-                        else "spec-reject"
-                    event(req.request_id, stage, start, clock - start)
-            else:
-                last = np.array([r.output[-1] for r in survivors],
-                                dtype=np.int64)
-                logits = self.model.decode_step_batched(last, self.packed,
-                                                        slots)
-                for i, req in enumerate(survivors):
-                    self._emit(req, logits[i])
-                total_ctx = sum(r.context_len for r in survivors)
-                # Billed time uses the executed batch shape, not
-                # max(1, ...): an empty step executes nothing and bills
-                # nothing.
-                clock += self.cost.decode_step_time(len(survivors),
-                                                    total_ctx)
-            for req in survivors:
-                if req.done:
-                    finish(req)
-
-            timeline.append(TimelineSample(
-                time=clock, queue_depth=sched.queue_depth,
-                batch_size=len(survivors),
-                pool_utilization=self.pool.utilization,
-                context_tokens=total_ctx))
-
+        records = core.records
+        shed_records = self._shed_records
         # No silent drop: every submitted request completed, was shed,
         # or timed out — exactly one of the three.
         if len(records) + len(shed_records) + len(timeout_records) \
@@ -758,20 +441,26 @@ class ServingEngine:
                 f"request accounting broke: {len(records)} completed + "
                 f"{len(shed_records)} shed + {len(timeout_records)} "
                 f"timed out != {len(requests)} submitted")
+        by_id = {r.request_id: r for r in requests}
+        outputs = {rec.request_id: np.array(by_id[rec.request_id].output,
+                                            dtype=np.int64)
+                   for rec in records}
+        cache = self.prefix_cache
         metrics = ServingMetrics.from_records(
-            records, timeline, makespan=clock,
+            records, core.timeline, makespan=core.clock,
             peak_pool_utilization=self.pool.peak_utilization,
-            preemptions=sched.total_preemptions,
+            preemptions=self.scheduler.total_preemptions,
             cache=cache.stats if cache is not None else None,
             shed=len(shed_records), timed_out=len(timeout_records),
             deadline_total=sum(1 for r in requests
                                if r.deadline_s is not None),
-            spec_steps=spec_steps, draft_proposed=draft_proposed,
-            draft_accepted=draft_accepted)
+            spec_steps=core.spec_steps,
+            draft_proposed=core.draft_proposed,
+            draft_accepted=core.draft_accepted)
         records.sort(key=lambda r: r.request_id)
-        lanes = {"engine": {f"replica (TP={self.cost.tp})": events}}
-        return ServeResult(records=records, metrics=metrics, trace=trace,
-                           outputs=outputs, lanes=lanes,
+        lanes = {"engine": {f"replica (TP={self.cost.tp})": core.events}}
+        return ServeResult(records=records, metrics=metrics,
+                           trace=core.trace, outputs=outputs, lanes=lanes,
                            shed_records=shed_records,
                            timeout_records=timeout_records)
 
