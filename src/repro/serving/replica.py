@@ -610,6 +610,15 @@ class ReplicaServer:
                 # alternately can evict each other forever, each
                 # eviction discarding all progress.
                 victim = sched.running[-1]
+                if victim is req:
+                    # Under chunked prefill, first evict the youngest
+                    # request still mid-prefill: it holds blocks it
+                    # cannot use yet.  Otherwise the youngest decoder
+                    # evicts itself, SRPT re-admits it as the shortest
+                    # prefill, and the cycle repeats while the older
+                    # mid-prefill requests never advance.
+                    victim = next((r for r in reversed(sched.running)
+                                   if r.prefill_pos < r.prompt_len), req)
                 self._preempt(victim)
                 if victim is req:
                     break
