@@ -679,15 +679,6 @@ class ClusterSimulator:
                  and r.role != "decode" and r.breaker.state == "open"]
         return min(holds, default=math.inf)
 
-    def _drain_timeouts(self, replica: ReplicaServer) -> None:
-        """Convert a replica's raw cancellations into timeout records."""
-        for req, at, stage in replica.timeouts:
-            self._timed_out.append(TimedOutRequest(
-                request_id=req.request_id, arrival=req.arrival_time,
-                deadline=req.deadline_s, cancelled_at=at, stage=stage,
-                prompt_len=req.prompt_len, output_len=len(req.output)))
-        replica.timeouts.clear()
-
     # -- prefill → decode handoff ---------------------------------------
     def _cycle_handoff(self,
                        candidates: list[ReplicaServer]) -> ReplicaServer:
@@ -746,7 +737,8 @@ class ClusterSimulator:
         drained here too.
         """
         if self._has_deadlines and src.timeouts:
-            self._drain_timeouts(src)
+            self._timed_out += src.timeouts
+            src.timeouts.clear()
         if not src.outbox:
             return
         entries, src.outbox = src.outbox, []

@@ -188,14 +188,11 @@ class NumericExecutor:
         # Speculative decoding: a draft proposer keyed by request_id
         # (ModelDraft leases a lockstep slot in its own packed pool;
         # NGramDraft is stateless).
-        spec = config.spec_decode
         self.proposer = None
-        self.model_draft = False
-        if spec is not None:
-            self.proposer = spec.build_proposer(
+        if config.spec_decode is not None:
+            self.proposer = config.spec_decode.build_proposer(
                 model.config, config.max_batch_size,
                 block_tokens=config.block_size)
-            self.model_draft = spec.draft_config(model.config) is not None
 
     def _lease(self, req: Request) -> None:
         if req.slot is None:
@@ -220,16 +217,15 @@ class NumericExecutor:
     def _attach(self, req: Request) -> int:
         """Start the draft proposer for a request about to decode.
 
-        Returns the context tokens to bill as a draft prefill (a model
-        draft prefills its own slot over them; the n-gram draft is
-        free).
+        Returns the context length the proposer started over (0 when
+        none did).
         """
         if self.proposer is None or req.done:
             return 0
         ctx = np.concatenate([req.prompt,
                               np.asarray(req.output[:-1], dtype=np.int64)])
         self.proposer.start(req.request_id, ctx)
-        return len(ctx) if self.model_draft else 0
+        return len(ctx)
 
     def adopt_prefix(self, req: Request, match, cache) -> None:
         """Copy a cached prefix's KV into the request's slot.
@@ -424,11 +420,7 @@ class ServingEngine:
                                      pending[index].arrival_time)
                 continue
             core.step()
-            for req, at, stage in core.timeouts:
-                timeout_records.append(TimedOutRequest(
-                    request_id=req.request_id, arrival=req.arrival_time,
-                    deadline=req.deadline_s, cancelled_at=at, stage=stage,
-                    prompt_len=req.prompt_len, output_len=len(req.output)))
+            timeout_records += core.timeouts
             core.timeouts.clear()
 
         records = core.records

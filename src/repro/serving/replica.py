@@ -22,8 +22,8 @@ What differs between the two systems is the token work, which an
 ``prefill(req, tokens)``
     Encode the next ``tokens`` prompt positions and advance
     ``req.prefill_pos``; once the prompt is complete, append the first
-    token.  Returns how many context tokens a draft model must prefill
-    before the request decodes (0 when nothing is billed).
+    token.  Returns the context length a draft proposer was started
+    over, 0 when none was.
 ``decode(batch)``
     Append one token to each request of ``batch``.
 ``verify(batch, k)``
@@ -33,10 +33,16 @@ What differs between the two systems is the token work, which an
 ``adopt_prefix(req, match, cache)``
     Take over a prefix-cache hit whose tokens already count as
     prefilled.
-``release(req)`` and ``restore(req)``
-    Only called for requests that hold a KV slot (``req.slot``), or
-    carry a captured KV snapshot (``req.saved_kv``).  Only an executor
-    that leases slots creates either.
+``release(req)``
+    Free the request's KV slot and draft state.  Only called for a
+    request holding a slot (``req.slot``).
+``restore(req)``
+    Re-import a preempted request's captured KV (``req.saved_kv``)
+    and return like ``prefill``.  Only called for a request carrying a
+    snapshot.
+
+Only an executor that leases slots creates slots or snapshots, so a
+timing-level executor needs neither method.
 
 Roles, KV import, slow windows, and the breaker and fault hooks serve
 the cluster; a replica the engine drives keeps them at their inert
@@ -51,40 +57,14 @@ from ..profiling.tracer import TraceEvent
 from .config import ServingConfig
 from .kv_pool import PagedKVPool
 from .metrics import RequestRecord, TimelineSample
+from .results import TimedOutRequest
 from .scheduler import (RUNNING, ContinuousBatchScheduler, Request,
-                        SchedulerConfig, apply_degradation,
-                        next_prefill_target)
+                        apply_degradation, next_prefill_target)
 
-__all__ = ["REPLICA_ROLES", "ReplicaServer", "validate_requests"]
+__all__ = ["REPLICA_ROLES", "ReplicaServer"]
 
 #: Roles a replica can serve under (``mixed`` = colocated baseline).
 REPLICA_ROLES = ("prefill", "decode", "mixed")
-
-
-def validate_requests(requests: list[Request], pool: PagedKVPool,
-                      scheduler_config: SchedulerConfig,
-                      max_seq_len: int) -> None:
-    """Reject requests that can never be served by this replica shape.
-
-    A request that would deadlock a replica fails loudly at submission
-    instead, in the engine and the cluster alike.
-    """
-    token_budget = scheduler_config.max_batch_tokens
-    need = pool.capacity_tokens()
-    for req in requests:
-        if req.budget_tokens > max_seq_len:
-            raise ValueError(
-                f"request {req.request_id}: prompt {req.prompt_len} + "
-                f"max_new_tokens {req.max_new_tokens} exceeds "
-                f"max_seq_len {max_seq_len}")
-        if req.budget_tokens > token_budget:
-            raise ValueError(
-                f"request {req.request_id}: {req.budget_tokens} tokens "
-                f"exceed max_batch_tokens {token_budget}")
-        if pool.blocks_needed(req.budget_tokens) > pool.num_blocks:
-            raise ValueError(
-                f"request {req.request_id} can never fit the pool "
-                f"({req.budget_tokens} tokens vs {need} slots)")
 
 
 class ReplicaServer:
@@ -161,9 +141,9 @@ class ReplicaServer:
         self.overload = serving.overload
         #: set by the owner when any request carries a deadline
         self.deadline_checks = False
-        #: cancelled requests as ``(request, cancelled_at, stage)`` —
-        #: drained by the owner after every step, like the outbox
-        self.timeouts: list[tuple[Request, float, str]] = []
+        #: deadline cancellations — drained by the owner after every
+        #: step, like the outbox
+        self.timeouts: list[TimedOutRequest] = []
         self.breaker = CircuitBreaker(
             self.overload.breaker_cooldown_s,
             self.overload.breaker_probes) if self.overload.breaker else None
@@ -190,9 +170,29 @@ class ReplicaServer:
         return f"node{self.node_index}/replica{self.replica_index}"
 
     def validate(self, requests: list[Request]) -> None:
-        """Reject requests this replica's shape can never serve."""
-        validate_requests(requests, self.pool, self.scheduler.config,
-                          self.model_config.max_seq_len)
+        """Reject requests that can never be served by this replica shape.
+
+        A request that would deadlock a replica fails loudly at
+        submission instead, in the engine and the cluster alike.
+        """
+        max_seq_len = self.model_config.max_seq_len
+        token_budget = self.scheduler.config.max_batch_tokens
+        pool = self.pool
+        need = pool.capacity_tokens()
+        for req in requests:
+            if req.budget_tokens > max_seq_len:
+                raise ValueError(
+                    f"request {req.request_id}: prompt {req.prompt_len} + "
+                    f"max_new_tokens {req.max_new_tokens} exceeds "
+                    f"max_seq_len {max_seq_len}")
+            if req.budget_tokens > token_budget:
+                raise ValueError(
+                    f"request {req.request_id}: {req.budget_tokens} tokens "
+                    f"exceed max_batch_tokens {token_budget}")
+            if pool.blocks_needed(req.budget_tokens) > pool.num_blocks:
+                raise ValueError(
+                    f"request {req.request_id} can never fit the pool "
+                    f"({req.budget_tokens} tokens vs {need} slots)")
 
     # -- state the load balancer reads ---------------------------------
     @property
@@ -256,7 +256,10 @@ class ReplicaServer:
     # -- overload hooks -------------------------------------------------
     def _timeout(self, req: Request, stage: str) -> None:
         self._note(req, "timeout")
-        self.timeouts.append((req, self.clock, stage))
+        self.timeouts.append(TimedOutRequest(
+            request_id=req.request_id, arrival=req.arrival_time,
+            deadline=req.deadline_s, cancelled_at=self.clock, stage=stage,
+            prompt_len=req.prompt_len, output_len=len(req.output)))
 
     def _cancel_timeouts(self) -> None:
         """Cancel expired requests, unwinding every piece of held state.
@@ -469,7 +472,7 @@ class ReplicaServer:
             if self.trace is not None:
                 self.trace.append((self.clock, "kv-restore",
                                    req.request_id))
-            if draft_tokens:
+            if draft_tokens and self.draft_cost is not None:
                 self.clock += self.draft_cost.prefill_time(draft_tokens)
             return
         if self._cache_allowed(req):
@@ -518,7 +521,9 @@ class ReplicaServer:
             self._finish(req)
         elif self.role == "prefill":
             self._hand_off(req)
-        elif draft_tokens:
+        elif draft_tokens and self.draft_cost is not None:
+            # A model draft prefills its own slot before the request
+            # decodes; the n-gram draft is free.
             self.clock += self.draft_cost.prefill_time(draft_tokens)
 
     def step(self) -> None:
