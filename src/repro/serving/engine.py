@@ -42,13 +42,16 @@ from ..parallel.collectives import CollectiveModel, GroupTopology
 from .config import ServingConfig
 from .kv_pool import PagedKVPool, kv_bytes_per_token
 from .metrics import RequestRecord, ServingMetrics
-from .perf_model import TP_ALLREDUCES_PER_LAYER
 from .replica import ReplicaServer
 from .results import ServeResult, ShedRequest, TimedOutRequest
 from .scheduler import Request, estimate_backlog_eta
 
 __all__ = ["DecodeCostModel", "NumericExecutor", "ServeResult",
            "ServingEngine", "run_sequential"]
+
+#: Megatron-style TP inference: one allreduce after attention and one
+#: after the MLP, per layer per decode step.
+TP_ALLREDUCES_PER_LAYER = 2
 
 
 class DecodeCostModel:
@@ -57,7 +60,7 @@ class DecodeCostModel:
     ``tp = 1`` prices a single GCD.  ``tp > 1`` prices one
     tensor-parallel replica spanning ``tp`` GCDs: compute and HBM
     traffic shard ``tp`` ways and each layer pays
-    :data:`~repro.serving.perf_model.TP_ALLREDUCES_PER_LAYER` activation
+    :data:`TP_ALLREDUCES_PER_LAYER` activation
     allreduces, placed on the fastest links that fit the group.
     """
 

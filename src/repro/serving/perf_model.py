@@ -2,14 +2,12 @@
 
 The engine measures a workload at laptop scale; this module answers the
 ROADMAP question — what would the same serving behaviour deliver on a
-Frontier node of four MI250X (eight GCDs)?  It reuses the calibrated
-analytic stack:
+Frontier node of four MI250X (eight GCDs)?  It prices decode steps
+through the engine's own :class:`~repro.serving.engine.DecodeCostModel`:
 
 * decode is memory-bound, so per-GCD step time streams the (sharded)
   weights plus the active KV blocks at the GCD's HBM bandwidth
   (:class:`~repro.frontier.hardware.GCDSpec`);
-* prefill is compute-bound and priced with the GEMM roofline
-  (:class:`~repro.frontier.roofline.RooflineModel`);
 * tensor-parallel serving pays two activation allreduces per layer per
   step, priced by the topology-aware α–β model
   (:class:`~repro.parallel.collectives.CollectiveModel`) — the same
@@ -29,17 +27,12 @@ from dataclasses import dataclass
 from ..frontier.hardware import GCDSpec, NodeSpec
 from ..frontier.roofline import RooflineModel
 from ..models.config import ModelConfig
-from ..models.flops import GEMMShape
-from ..parallel.collectives import CollectiveModel, GroupTopology
-from .kv_pool import kv_bytes_per_token
+from ..parallel.collectives import CollectiveModel
+from .engine import DecodeCostModel
 from .metrics import ServingMetrics
 
 __all__ = ["DeploymentEstimate", "FrontierServingEstimate",
            "ServingPerfModel", "format_estimate"]
-
-#: Megatron-style TP inference: one allreduce after attention and one
-#: after the MLP, per layer per decode step.
-TP_ALLREDUCES_PER_LAYER = 2
 
 
 @dataclass(frozen=True)
@@ -100,26 +93,11 @@ class ServingPerfModel:
                          total_context_tokens: float, tp: int = 1
                          ) -> tuple[float, float]:
         """(total, comm) seconds of one batched decode step per replica."""
-        weights = 2.0 * config.num_parameters() / tp
-        kv = kv_bytes_per_token(config) * total_context_tokens / tp
-        t_mem = (weights + kv) / (self.gcd.hbm_bw_gbs * 1e9)
-        t_comm = 0.0
-        if tp > 1:
-            topo = GroupTopology.place(tp)
-            act_bytes = int(2 * batch_size * config.hidden_size)
-            per_call = self.collectives.allreduce(act_bytes, topo).seconds
-            t_comm = TP_ALLREDUCES_PER_LAYER * config.num_layers * per_call
-        return self.step_overhead_s + t_mem + t_comm, t_comm
-
-    def prefill_time(self, config: ModelConfig, prompt_len: int,
-                     tp: int = 1) -> float:
-        """Roofline prefill time for one prompt (per replica)."""
-        layer = self.roofline.layer_forward_timing(
-            config, seq_len=prompt_len, micro_batch=1)
-        total = config.num_layers * layer.total_seconds / tp
-        head = GEMMShape("head", prompt_len, config.hidden_size,
-                         config.vocab_size)
-        return total + self.roofline.gemm_time(head) / tp
+        cost = DecodeCostModel(config, gcd=self.gcd, roofline=self.roofline,
+                               step_overhead_s=self.step_overhead_s, tp=tp,
+                               collectives=self.collectives)
+        return (cost.decode_step_time(batch_size, total_context_tokens),
+                cost._tp_comm(batch_size))
 
     # ------------------------------------------------------------------
     def estimate(self, config: ModelConfig, metrics: ServingMetrics,
