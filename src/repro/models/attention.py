@@ -1,8 +1,8 @@
 """Multi-head causal self-attention with rotary position embeddings.
 
 The attention layer is *identical* between GPT-NeoX and LLaMA (the paper's
-Fig 2 stresses this), so a single implementation serves both stacks.  Two
-execution paths are provided:
+Fig 2 stresses this), so a single implementation serves both stacks.  The
+uncached :meth:`CausalSelfAttention.forward` has two execution paths:
 
 ``standard``
     Materializes the full (seq, seq) score matrix — O(n^2) memory.
@@ -18,6 +18,14 @@ execution paths are provided:
 The flash path is forward-only (inference / evaluation); training falls
 back to the standard autodiff path, mirroring early ROCm flash-attention
 support maturity described in the paper.
+
+Every *cached* forward — whole or chunked prefill (one row of span n),
+batched decode (span 1) and speculative verify (span k + 1) — runs one
+exact raw-array kernel, ``CausalSelfAttention._attend_rows``, over row
+spans whose KV stores speak the :class:`KVCache` ``length`` / ``append``
+protocol.  The only other cached branch is flash decode, which pads the
+batch with :meth:`~repro.models.packed_kv.PackedKVPool.gather` and runs
+:func:`flash_decode_forward`.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .layers import Linear, Module
+from .packed_kv import PackedSlotCache
 from .tensor import Tensor
 
 __all__ = ["RotaryEmbedding", "CausalSelfAttention", "KVCache",
@@ -79,27 +88,36 @@ class RotaryEmbedding:
         rotated = x_rot * cos + self._rotate_half(x_rot) * sin
         return Tensor.concatenate([rotated, x_pass], axis=-1)
 
-    def apply_batched(self, x: Tensor, offsets: np.ndarray) -> Tensor:
-        """Rotate one position per batch row at per-row absolute offsets.
+    def apply_rows(self, x: np.ndarray, offsets) -> np.ndarray:
+        """Rotate raw-array rows, each at its own absolute offset.
 
-        ``x`` has shape (batch, heads, 1, head_dim); row ``i`` sits at
-        absolute position ``offsets[i]``.  Rotation is elementwise, so
-        each row matches ``apply(row, 1, offset=offsets[i])`` bit for bit.
+        ``x`` has shape (rows, heads, span, head_dim); row ``i`` covers
+        absolute positions ``offsets[i] .. offsets[i] + span - 1``.  This
+        is :meth:`apply`'s elementwise op sequence on raw arrays with
+        gathered cos/sin rows, so each row is bit-identical to ``apply``
+        at its own offset — the inference rotary of every cached forward.
         """
-        offsets = np.asarray(offsets, dtype=np.int64)
-        if int(offsets.max()) >= self.cos.shape[0]:
+        span = x.shape[2]
+        positions = (np.asarray(offsets, dtype=np.int64)[:, None]
+                     + np.arange(span)[None, :])
+        top = int(positions.max()) + 1
+        if top > self.cos.shape[0]:
             raise ValueError(
-                f"positions up to {int(offsets.max()) + 1} exceed rotary "
-                f"table ({self.cos.shape[0]})")
+                f"positions up to {top} exceed rotary table "
+                f"({self.cos.shape[0]})")
         rd = self.rotary_dim
-        cos = Tensor(self.cos[offsets][:, None, None, :])
-        sin = Tensor(self.sin[offsets][:, None, None, :])
+        cos = self.cos[positions][:, None]  # (rows, 1, span, rd)
+        sin = self.sin[positions][:, None]
+        half = rd // 2
+
+        def rotate(t: np.ndarray) -> np.ndarray:
+            return np.concatenate([-t[..., half:], t[..., :half]], axis=-1)
+
         if rd == x.shape[-1]:
-            return x * cos + self._rotate_half(x) * sin
-        x_rot = x[..., :rd]
-        x_pass = x[..., rd:]
-        rotated = x_rot * cos + self._rotate_half(x_rot) * sin
-        return Tensor.concatenate([rotated, x_pass], axis=-1)
+            return x * cos + rotate(x) * sin
+        x_rot, x_pass = x[..., :rd], x[..., rd:]
+        return np.concatenate(
+            [x_rot * cos + rotate(x_rot) * sin, x_pass], axis=-1)
 
 
 def flash_attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
@@ -295,119 +313,23 @@ class CausalSelfAttention(Module):
         return self.out_proj(merged)
 
     def forward_cached(self, x: Tensor, cache: "KVCache") -> Tensor:
-        """Incremental attention over a KV cache (inference only).
+        """Incremental attention of one row over its KV cache (inference).
 
-        ``x`` holds only the *new* positions; previously-seen keys/values
-        come from ``cache``, which is updated in place.  With GQA the cache
-        stores the compact K/V heads (the whole point of LLaMA-2's tweak:
-        an ``num_heads / num_kv_heads``-fold smaller inference cache).
+        ``x`` has shape (1, seq, hidden) and holds only the *new*
+        positions — a whole prompt, a prefill chunk, or one decode
+        token; previously seen keys/values come from ``cache`` (a
+        :class:`KVCache`, or a
+        :class:`~repro.models.packed_kv.PackedSlotCache` for a pool
+        slot), which is updated in place.  With GQA the cache stores the
+        compact K/V heads (the whole point of LLaMA-2's tweak: an
+        ``num_heads / num_kv_heads``-fold smaller inference cache).
+        Flash configs run the exact kernel here too.
         """
-        batch, seq, _ = x.shape
-        if seq > 1:
-            return self._forward_cached_np(x, cache)
-        h = self.hidden_size
-        kv_dim = self.num_kv_heads * self.head_dim
-        offset = cache.length
-        qkv = self.qkv(x)
-        q = self._split_heads(qkv[..., :h], seq, batch, self.num_heads)
-        k_new = self._split_heads(qkv[..., h:h + kv_dim], seq, batch,
-                                  self.num_kv_heads)
-        v_new = self._split_heads(qkv[..., h + kv_dim:], seq, batch,
-                                  self.num_kv_heads)
-        q = self.rotary.apply(q, seq, offset=offset)
-        k_new = self.rotary.apply(k_new, seq, offset=offset)
-
-        k_all, v_all = cache.append(k_new.data, v_new.data)
-        k = self._expand_kv(Tensor(k_all))
-        v = self._expand_kv(Tensor(v_all))
-
-        scale = 1.0 / np.sqrt(self.head_dim)
-        scores = (q @ k.swapaxes(-1, -2)) * scale
-        total = offset + seq
-        qi = (np.arange(offset, total))[:, None]
-        kj = np.arange(total)[None, :]
-        scores = scores.masked_fill(kj > qi, -1e30)
-        probs = scores.softmax(axis=-1)
-        ctx = probs @ v
-        merged = ctx.transpose(0, 2, 1, 3).reshape(batch, seq,
-                                                   self.hidden_size)
-        return self.out_proj(merged)
-
-    def _expand_kv_np(self, x: np.ndarray) -> np.ndarray:
-        """GQA head expansion on raw arrays (mirrors :meth:`_expand_kv`)."""
-        groups = self.num_heads // self.num_kv_heads
-        if groups == 1:
-            return x
-        return np.concatenate([x] * groups, axis=1)
-
-    def _rope_np(self, x: np.ndarray, seq: int, offset: int) -> np.ndarray:
-        """Rotary embedding on raw arrays (mirrors ``RotaryEmbedding.apply``)."""
-        rot = self.rotary
-        if offset + seq > rot.cos.shape[0]:
+        if x.shape[0] != 1:
             raise ValueError(
-                f"positions up to {offset + seq} exceed rotary table "
-                f"({rot.cos.shape[0]})")
-        rd = rot.rotary_dim
-        cos = rot.cos[offset:offset + seq]
-        sin = rot.sin[offset:offset + seq]
-        half = rd // 2
-
-        def rotate(t: np.ndarray) -> np.ndarray:
-            return np.concatenate([-t[..., half:], t[..., :half]], axis=-1)
-
-        if rd == x.shape[-1]:
-            return x * cos + rotate(x) * sin
-        x_rot, x_pass = x[..., :rd], x[..., rd:]
-        return np.concatenate(
-            [x_rot * cos + rotate(x_rot) * sin, x_pass], axis=-1)
-
-    def _forward_cached_np(self, x: Tensor, cache: "KVCache") -> Tensor:
-        """Raw-array multi-position path of :meth:`forward_cached`.
-
-        Chunked prefill calls ``forward_cached`` once per chunk, and every
-        call attends over the whole resident prefix; on the Tensor path
-        each elementwise op along the way also built an autograd node and
-        a full-prefix temporary, so the prior-KV re-read cost was paid
-        several times per chunk in copied bytes.  This path runs the
-        identical op sequence on raw arrays straight over the cache's
-        preallocated views — bit-for-bit the same tokens — and only wraps
-        the attention output back into a Tensor for the projection.
-        Single-position decode (seq == 1) stays on the Tensor path, whose
-        batched counterpart has its own raw-array lane in
-        :meth:`forward_decode_batched`.
-        """
-        batch, seq, _ = x.shape
-        h = self.hidden_size
-        kv_dim = self.num_kv_heads * self.head_dim
-        offset = cache.length
-        qkv = self.qkv(x).data
-
-        def split(t: np.ndarray, heads: int) -> np.ndarray:
-            return (t.reshape(batch, seq, heads, self.head_dim)
-                     .transpose(0, 2, 1, 3))
-
-        q = self._rope_np(split(qkv[..., :h], self.num_heads), seq, offset)
-        k_new = self._rope_np(
-            split(qkv[..., h:h + kv_dim], self.num_kv_heads), seq, offset)
-        v_new = split(qkv[..., h + kv_dim:], self.num_kv_heads)
-
-        k_all, v_all = cache.append(k_new, v_new)
-        k = self._expand_kv_np(k_all)
-        v = self._expand_kv_np(v_all)
-
-        scale = 1.0 / np.sqrt(self.head_dim)
-        scores = (q @ np.swapaxes(k, -1, -2)) * scale
-        total = offset + seq
-        qi = np.arange(offset, total)[:, None]
-        kj = np.arange(total)[None, :]
-        scores = np.where(kj > qi, -1e30, scores)
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        probs = e / e.sum(axis=-1, keepdims=True)
-        ctx = probs @ v
-        merged = (Tensor(ctx).transpose(0, 2, 1, 3)
-                  .reshape(batch, seq, self.hidden_size))
-        return self.out_proj(merged)
+                f"forward_cached takes one row with one cache, got "
+                f"{x.shape[0]} rows")
+        return self._attend_rows(x, [cache])
 
     def forward_decode_batched(self, x: Tensor, pool, slots, layer: int
                                ) -> Tensor:
@@ -416,121 +338,19 @@ class CausalSelfAttention(Module):
         ``x`` has shape (batch, 1, hidden); row ``i`` is the latest token
         of the request leasing ``slots[i]`` in ``pool`` (a
         :class:`~repro.models.packed_kv.PackedKVPool`), whose context in
-        ``layer`` already holds that request's previous positions.
-
-        The standard path groups rows by context length and runs one
-        stacked, unpadded attention call per group — elementwise ops and
-        per-slice matmuls make each row bit-identical to
-        :meth:`forward_cached` on its own cache (padding the short rows
-        instead would *not* be bit-exact: BLAS kernels are sensitive to
-        reduction length).  With a single unique length this degenerates
-        to one call with no masking.  The flash path pads to the batch
-        max and length-masks inside the tiled kernel, matching
-        :func:`flash_attention_forward` semantics.
-
-        A batch of one skips the pack/gather machinery entirely: the new
-        position is appended through the single-slot protocol (in-place
-        write returning zero-copy views) and attention runs straight
-        over the views with the exact grouped-path op sequence — same
-        values, no ``unique``/fancy-index/copy overhead, which is what
-        kept the batched path slower than the sequential forward at
-        batch size 1.
+        ``layer`` already holds that request's previous positions.  This
+        is the exact kernel at span 1; flash configs instead pad the
+        rows to the batch max and length-mask them inside
+        :func:`flash_decode_forward`, which reassociates the softmax
+        (token parity rather than bitwise).
         """
-        batch, seq, _ = x.shape
-        h = self.hidden_size
-        kv_dim = self.num_kv_heads * self.head_dim
-        offsets = pool.lengths_of(layer, slots)
-        qkv = self.qkv(x)
-        q = self._split_heads(qkv[..., :h], seq, batch, self.num_heads)
-        k_new = self._split_heads(qkv[..., h:h + kv_dim], seq, batch,
-                                  self.num_kv_heads)
-        v_new = self._split_heads(qkv[..., h + kv_dim:], seq, batch,
-                                  self.num_kv_heads)
-        q = self.rotary.apply_batched(q, offsets)
-        k_new = self.rotary.apply_batched(k_new, offsets)
-
-        if not self.flash and batch == 1:
-            slot = int(np.asarray(slots, dtype=np.int64).ravel()[0])
-            k_all, v_all = pool.append(layer, slot, k_new.data, v_new.data)
-            k_g = self._expand_kv_np(k_all)
-            v_g = self._expand_kv_np(v_all)
-            scale = 1.0 / np.sqrt(self.head_dim)
-            scores = (q.data @ np.swapaxes(k_g, -1, -2)) * scale
-            shifted = scores - scores.max(axis=-1, keepdims=True)
-            e = np.exp(shifted)
-            probs = e / e.sum(axis=-1, keepdims=True)
-            ctx = probs @ v_g
-        else:
-            lengths = pool.append_batched(layer, slots, k_new.data,
-                                          v_new.data)
-            if self.flash:
-                k_pad, v_pad = pool.gather(layer, slots,
-                                           int(lengths.max()), reuse=True)
-                ctx = flash_decode_forward(q.data,
-                                           self._expand_kv_np(k_pad),
-                                           self._expand_kv_np(v_pad),
-                                           lengths)
-            else:
-                ctx = self._decode_grouped(q.data, pool, slots, layer,
-                                           lengths)
-
-        merged = (Tensor(ctx).transpose(0, 2, 1, 3)
-                  .reshape(batch, seq, self.hidden_size))
-        return self.out_proj(merged)
-
-    def _decode_grouped(self, q: np.ndarray, pool, slots, layer: int,
-                        lengths: np.ndarray) -> np.ndarray:
-        """Exact batched decode attention: one stacked call per unique
-        context length, mirroring the op sequence of the sequential path
-        (scale, shift-by-max softmax, probs @ v) on raw arrays."""
-        ctx = np.zeros_like(q)
-        scale = 1.0 / np.sqrt(self.head_dim)
-        slots = np.asarray(slots, dtype=np.int64)
-        for n in np.unique(lengths):
-            rows = np.nonzero(lengths == n)[0]
-            # Each group's gather is fully consumed before the next, so
-            # the pool's reusable scratch is safe here.
-            k_g, v_g = pool.gather(layer, slots[rows], int(n), reuse=True)
-            k_g = self._expand_kv_np(k_g)
-            v_g = self._expand_kv_np(v_g)
-            scores = (q[rows] @ np.swapaxes(k_g, -1, -2)) * scale
-            shifted = scores - scores.max(axis=-1, keepdims=True)
-            e = np.exp(shifted)
-            probs = e / e.sum(axis=-1, keepdims=True)
-            ctx[rows] = probs @ v_g
-        return ctx
-
-    def _rope_np_rows(self, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """Rotary embedding with a per-row position offset (raw arrays).
-
-        ``x`` has shape (batch, heads, span, head_dim); row ``i`` covers
-        absolute positions ``offsets[i] .. offsets[i] + span - 1``.  The
-        per-row op sequence mirrors :meth:`_rope_np` exactly (gathered
-        cos/sin tables, identical elementwise math), so each row is
-        bit-identical to the single-request rope at its own offset.
-        """
-        rot = self.rotary
-        span = x.shape[2]
-        positions = (np.asarray(offsets, dtype=np.int64)[:, None]
-                     + np.arange(span)[None, :])
-        top = int(positions.max()) + 1
-        if top > rot.cos.shape[0]:
-            raise ValueError(
-                f"positions up to {top} exceed rotary table "
-                f"({rot.cos.shape[0]})")
-        rd = rot.rotary_dim
-        cos = rot.cos[positions][:, None]  # (batch, 1, span, rd)
-        sin = rot.sin[positions][:, None]
-        half = rd // 2
-
-        def rotate(t: np.ndarray) -> np.ndarray:
-            return np.concatenate([-t[..., half:], t[..., :half]], axis=-1)
-
-        if rd == x.shape[-1]:
-            return x * cos + rotate(x) * sin
-        x_rot, x_pass = x[..., :rd], x[..., rd:]
-        return np.concatenate(
-            [x_rot * cos + rotate(x_rot) * sin, x_pass], axis=-1)
+        stores = [PackedSlotCache(pool, layer, int(slot)) for slot in slots]
+        if not self.flash:
+            return self._attend_rows(x, stores)
+        return self._attend_rows(
+            x, stores,
+            padded=lambda length: pool.gather(layer, slots, length,
+                                              reuse=True))
 
     def forward_verify_batched(self, x: Tensor, pool, slots, layer: int
                                ) -> Tensor:
@@ -540,55 +360,92 @@ class CausalSelfAttention(Module):
         (batch, span, hidden) where row ``i`` holds the last accepted
         token followed by the drafted candidates of the request leasing
         ``slots[i]``.  All ``span`` positions are appended to the pool
-        (rollback later shrinks the slot via ``pool.truncate``), and each
-        row attends over its full context.
-
-        This always runs the standard exact op sequence — per row the
-        same ops as :meth:`_forward_cached_np` at that row's offset,
-        stacked by unique context length — even on flash configs, just
-        as chunked prefill does: per-slice matmuls and elementwise ops
-        keep every row bit-identical to the sequential cached forward,
-        which is what makes greedy speculative decoding bitwise equal to
-        plain greedy decoding.
+        (rollback later shrinks the slot via ``pool.truncate``).  Like
+        cached prefill this stays on the exact kernel even on flash
+        configs, so each row is bit-identical to a cached forward of the
+        same positions over its own cache — which is what makes greedy
+        speculative decoding bitwise equal to plain greedy decoding.
         """
-        batch, span, _ = x.shape
+        return self._attend_rows(
+            x, [PackedSlotCache(pool, layer, int(slot)) for slot in slots])
+
+    def _expand_kv_np(self, x: np.ndarray) -> np.ndarray:
+        """GQA head expansion on raw arrays (mirrors :meth:`_expand_kv`)."""
+        groups = self.num_heads // self.num_kv_heads
+        if groups == 1:
+            return x
+        return np.concatenate([x] * groups, axis=1)
+
+    def _attend_rows(self, x: Tensor, stores, padded=None) -> Tensor:
+        """The one cached-attention kernel: ``span`` new positions per row.
+
+        ``x`` has shape (rows, span, hidden); row ``i`` continues the
+        context held by ``stores[i]``, a KV store speaking the
+        ``length`` / ``append`` protocol of :class:`KVCache`, and each
+        row's span is appended to its store.  Rows are rotated at their
+        own offsets, then attended in groups of equal offset with the
+        exact op sequence: scale, a causal mask when ``span > 1``,
+        shift-by-max softmax, ``probs @ v``.  A group of one row attends
+        straight over its store's views; a larger group stacks its rows'
+        views.  Stacking equal lengths keeps every matmul slice the
+        shape it has for the row alone, so each row is bit-identical to
+        the same call on its own (padding short rows to a common length
+        would *not* be: BLAS results depend on the reduction length).
+
+        ``padded(length)``, given only for flash decode (span 1),
+        returns the rows' K/V zero-padded to ``length``; attention then
+        runs in :func:`flash_decode_forward`, which masks the padding.
+        """
+        rows, span, _ = x.shape
         h = self.hidden_size
         kv_dim = self.num_kv_heads * self.head_dim
-        offsets = pool.lengths_of(layer, slots)
+        offsets = [store.length for store in stores]
         qkv = self.qkv(x).data
 
         def split(t: np.ndarray, heads: int) -> np.ndarray:
-            return (t.reshape(batch, span, heads, self.head_dim)
+            return (t.reshape(rows, span, heads, self.head_dim)
                      .transpose(0, 2, 1, 3))
 
-        q = self._rope_np_rows(split(qkv[..., :h], self.num_heads), offsets)
-        k_new = self._rope_np_rows(
+        q = self.rotary.apply_rows(split(qkv[..., :h], self.num_heads),
+                                   offsets)
+        k_new = self.rotary.apply_rows(
             split(qkv[..., h:h + kv_dim], self.num_kv_heads), offsets)
         v_new = split(qkv[..., h + kv_dim:], self.num_kv_heads)
+        views = [store.append(k_new[row:row + 1], v_new[row:row + 1])
+                 for row, store in enumerate(stores)]
 
-        index = np.asarray(slots, dtype=np.int64)
-        for row in range(batch):
-            pool.append(layer, int(index[row]),
-                        k_new[row:row + 1], v_new[row:row + 1])
+        if padded is not None:
+            lengths = np.asarray(offsets, dtype=np.int64) + span
+            k_pad, v_pad = padded(int(lengths.max()))
+            ctx = flash_decode_forward(q, self._expand_kv_np(k_pad),
+                                       self._expand_kv_np(v_pad), lengths)
+        else:
+            groups: dict[int, list[int]] = {}
+            for row, offset in enumerate(offsets):
+                groups.setdefault(offset, []).append(row)
+            ctx = np.empty_like(q)
+            scale = 1.0 / np.sqrt(self.head_dim)
+            for offset, group in groups.items():
+                if len(group) == 1:
+                    k, v = views[group[0]]
+                else:
+                    k = np.concatenate([views[row][0] for row in group])
+                    v = np.concatenate([views[row][1] for row in group])
+                k = self._expand_kv_np(k)
+                v = self._expand_kv_np(v)
+                scores = (q[group] @ np.swapaxes(k, -1, -2)) * scale
+                if span > 1:
+                    total = offset + span
+                    qi = np.arange(offset, total)[:, None]
+                    kj = np.arange(total)[None, :]
+                    scores = np.where(kj > qi, -1e30, scores)
+                shifted = scores - scores.max(axis=-1, keepdims=True)
+                e = np.exp(shifted)
+                probs = e / e.sum(axis=-1, keepdims=True)
+                ctx[group] = probs @ v
 
-        ctx = np.zeros_like(q)
-        scale = 1.0 / np.sqrt(self.head_dim)
-        for n in np.unique(offsets):
-            rows = np.nonzero(offsets == n)[0]
-            total = int(n) + span
-            k_g, v_g = pool.gather(layer, index[rows], total, reuse=True)
-            k_g = self._expand_kv_np(k_g)
-            v_g = self._expand_kv_np(v_g)
-            scores = (q[rows] @ np.swapaxes(k_g, -1, -2)) * scale
-            qi = np.arange(int(n), total)[:, None]
-            kj = np.arange(total)[None, :]
-            scores = np.where(kj > qi, -1e30, scores)
-            shifted = scores - scores.max(axis=-1, keepdims=True)
-            e = np.exp(shifted)
-            probs = e / e.sum(axis=-1, keepdims=True)
-            ctx[rows] = probs @ v_g
         merged = (Tensor(ctx).transpose(0, 2, 1, 3)
-                  .reshape(batch, span, self.hidden_size))
+                  .reshape(rows, span, self.hidden_size))
         return self.out_proj(merged)
 
 

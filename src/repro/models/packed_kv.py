@@ -10,17 +10,21 @@ block-granular steps shared by all slots — so appending a token is an
 in-place write, and a whole decode batch can be gathered into stacked
 arrays for a single forward call.
 
-Two access paths cover the two execution styles:
+Access goes through two paths:
 
 per-slot (:class:`PackedSlotCache`)
-    An adapter with the exact ``length``/``append`` protocol of the
-    legacy ``KVCache``, so ``GPTModel._forward_cached`` runs unchanged
-    for (chunked) prefill while writing straight into the pool.
+    An adapter with the exact ``length``/``append`` protocol of
+    ``KVCache``: the one cached-attention kernel appends every row of
+    every cached forward — prefill, chunked prefill, batched decode and
+    verify — through it, and attends straight over the full-context
+    views :meth:`PackedKVPool.append` returns.
 
-batched (:meth:`PackedKVPool.append_batched` / :meth:`PackedKVPool.gather`)
-    Vectorized append of one new position for N slots at once, and
-    contiguous gathers of stacked K/V used by
+padded (:meth:`PackedKVPool.gather`)
+    Stacked K/V of N slots zero-padded to a common length, read only by
+    the flash decode branch of
     ``CausalSelfAttention.forward_decode_batched``.
+    :meth:`PackedKVPool.append_batched` (one vectorized position for N
+    slots) remains as a pool primitive; no forward calls it.
 
 Numerical note: buffers are zero-initialized (and zero-grown) so that a
 padded gather never exposes ``inf``/``nan`` garbage to the flash decode
@@ -360,10 +364,11 @@ class PackedKVPool:
 class PackedSlotCache:
     """``KVCache``-shaped view of one (layer, slot) in a pool.
 
-    Exposes exactly the ``length`` / ``append`` protocol that
-    ``CausalSelfAttention.forward_cached`` consumes, so prefill (whole
-    or chunked) runs through the unchanged sequential code path while
-    its keys and values land directly in the packed pool.
+    Exposes exactly the ``length`` / ``append`` protocol that the
+    cached-attention kernel consumes, so prefill (whole or chunked),
+    batched decode and verify all run the same code as a private
+    ``KVCache`` while their keys and values land directly in the packed
+    pool.
     """
 
     def __init__(self, pool: PackedKVPool, layer: int, slot: int):

@@ -16,6 +16,8 @@ Both end with a final norm and a tied output head (logits = h @ E^T).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .attention import CausalSelfAttention, KVCache
@@ -55,45 +57,19 @@ class TransformerLayer(Module):
         x = x + self.dropout(self.mlp(self.norm2(x)))
         return x
 
-    def forward_cached(self, x: Tensor, cache: KVCache) -> Tensor:
-        """Incremental forward for decoding (no dropout: inference only)."""
+    def forward_inference(self, x: Tensor, attend) -> Tensor:
+        """Inference forward (no dropout) around an attention call.
+
+        ``attend(attn, h)`` runs this layer's attention module ``attn``
+        on the normed input ``h`` — cached prefill, batched decode or
+        verify.  Every other op here (norms, MLP, residual adds) is
+        row-local, so stacking N requests keeps each row bit-identical
+        to its own forward.
+        """
         if self.arch == "neox":
-            return x + self.attn.forward_cached(self.norm1(x), cache) \
+            return x + attend(self.attn, self.norm1(x)) \
                      + self.mlp(self.norm2(x))
-        x = x + self.attn.forward_cached(self.norm1(x), cache)
-        x = x + self.mlp(self.norm2(x))
-        return x
-
-    def forward_decode_batched(self, x: Tensor, pool, slots,
-                               layer_index: int) -> Tensor:
-        """Batched single-position decode over a packed KV pool.
-
-        Every non-attention op here (norms, MLP, residual adds) is
-        per-row elementwise or row-local, so stacking N requests keeps
-        each row bit-identical to its sequential counterpart.
-        """
-        if self.arch == "neox":
-            return x + self.attn.forward_decode_batched(
-                self.norm1(x), pool, slots, layer_index) \
-                + self.mlp(self.norm2(x))
-        x = x + self.attn.forward_decode_batched(self.norm1(x), pool, slots,
-                                                 layer_index)
-        x = x + self.mlp(self.norm2(x))
-        return x
-
-    def forward_verify_batched(self, x: Tensor, pool, slots,
-                               layer_index: int) -> Tensor:
-        """Batched multi-position verify over a packed KV pool.
-
-        Same residual wiring as :meth:`forward_decode_batched`; the
-        attention call appends ``x.shape[1]`` positions per slot.
-        """
-        if self.arch == "neox":
-            return x + self.attn.forward_verify_batched(
-                self.norm1(x), pool, slots, layer_index) \
-                + self.mlp(self.norm2(x))
-        x = x + self.attn.forward_verify_batched(self.norm1(x), pool, slots,
-                                                 layer_index)
+        x = x + attend(self.attn, self.norm1(x))
         x = x + self.mlp(self.norm2(x))
         return x
 
@@ -263,15 +239,25 @@ class GPTModel(Module):
         p /= p.sum()
         return int(rng.choice(len(p), p=p))
 
-    def _forward_cached(self, token_ids: np.ndarray,
-                        caches: list[KVCache]) -> Tensor:
-        """One incremental step over per-layer KV caches."""
+    def _infer(self, tokens: np.ndarray, attend) -> Tensor:
+        """The inference layer loop shared by prefill, decode and verify.
+
+        ``attend(index, attn, h)`` is layer ``index``'s attention call;
+        returns logits of shape (rows, span, vocab).
+        """
         with no_grad():
-            x = self.embed(np.atleast_2d(token_ids))
-            for layer, cache in zip(self.layers, caches):
-                x = layer.forward_cached(x, cache)
+            x = self.embed(tokens)
+            for index, layer in enumerate(self.layers):
+                x = layer.forward_inference(x, partial(attend, index))
             x = self.final_norm(x)
             return x @ self.embed.weight.swapaxes(0, 1)
+
+    def _forward_cached(self, token_ids: np.ndarray,
+                        caches: list[KVCache]) -> Tensor:
+        """One incremental step of one row over per-layer KV caches."""
+        return self._infer(
+            np.atleast_2d(token_ids),
+            lambda index, attn, h: attn.forward_cached(h, caches[index]))
 
     def decode_step_batched(self, last_tokens: np.ndarray, pool, slots
                             ) -> np.ndarray:
@@ -286,12 +272,9 @@ class GPTModel(Module):
         standard path, token-equal on the flash path.
         """
         tokens = np.asarray(last_tokens, dtype=np.int64).reshape(-1, 1)
-        with no_grad():
-            x = self.embed(tokens)
-            for index, layer in enumerate(self.layers):
-                x = layer.forward_decode_batched(x, pool, slots, index)
-            x = self.final_norm(x)
-            logits = x @ self.embed.weight.swapaxes(0, 1)
+        logits = self._infer(
+            tokens, lambda index, attn, h: attn.forward_decode_batched(
+                h, pool, slots, index))
         return logits.data[:, -1, :]
 
     def verify_step_batched(self, blocks: np.ndarray, pool, slots
@@ -305,20 +288,16 @@ class GPTModel(Module):
         rolls rejected suffixes back with ``pool.truncate``.  Returns
         logits of shape (batch, span, vocab): row ``i``, position ``j``
         is the next-token distribution after ``blocks[i, :j + 1]``,
-        bit-equal to the sequential cached forward on every config
-        (verification always uses the standard exact kernel, like
-        chunked prefill).
+        bit-equal to a cached forward of the same block over that
+        request's own cache on every config (verification always uses
+        the exact kernel, like chunked prefill).
         """
         tokens = np.asarray(blocks, dtype=np.int64)
         if tokens.ndim != 2:
             raise ValueError(f"blocks must be 2-D: {tokens.shape}")
-        with no_grad():
-            x = self.embed(tokens)
-            for index, layer in enumerate(self.layers):
-                x = layer.forward_verify_batched(x, pool, slots, index)
-            x = self.final_norm(x)
-            logits = x @ self.embed.weight.swapaxes(0, 1)
-        return logits.data
+        return self._infer(
+            tokens, lambda index, attn, h: attn.forward_verify_batched(
+                h, pool, slots, index)).data
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
