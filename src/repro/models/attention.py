@@ -94,20 +94,24 @@ class RotaryEmbedding:
         ``x`` has shape (rows, heads, span, head_dim); row ``i`` covers
         absolute positions ``offsets[i] .. offsets[i] + span - 1``.  This
         is :meth:`apply`'s elementwise op sequence on raw arrays with
-        gathered cos/sin rows, so each row is bit-identical to ``apply``
-        at its own offset — the inference rotary of every cached forward.
+        cos/sin rows gathered per row (a plain slice when every row sits
+        at one offset), so each row is bit-identical to ``apply`` at its
+        own offset — the inference rotary of every cached forward.
         """
         span = x.shape[2]
-        positions = (np.asarray(offsets, dtype=np.int64)[:, None]
-                     + np.arange(span)[None, :])
-        top = int(positions.max()) + 1
+        low, top = min(offsets), max(offsets) + span
         if top > self.cos.shape[0]:
             raise ValueError(
                 f"positions up to {top} exceed rotary table "
                 f"({self.cos.shape[0]})")
+        if low + span == top:
+            # Every row at one offset: the tables are a plain slice.
+            cos, sin = self.cos[low:top], self.sin[low:top]
+        else:
+            positions = np.add.outer(offsets, np.arange(span))
+            cos = self.cos[positions][:, None]  # (rows, 1, span, rd)
+            sin = self.sin[positions][:, None]
         rd = self.rotary_dim
-        cos = self.cos[positions][:, None]  # (rows, 1, span, rd)
-        sin = self.sin[positions][:, None]
         half = rd // 2
 
         def rotate(t: np.ndarray) -> np.ndarray:
@@ -397,20 +401,16 @@ class CausalSelfAttention(Module):
         runs in :func:`flash_decode_forward`, which masks the padding.
         """
         rows, span, _ = x.shape
-        h = self.hidden_size
-        kv_dim = self.num_kv_heads * self.head_dim
+        heads, kv_heads = self.num_heads, self.num_kv_heads
         offsets = [store.length for store in stores]
-        qkv = self.qkv(x).data
-
-        def split(t: np.ndarray, heads: int) -> np.ndarray:
-            return (t.reshape(rows, span, heads, self.head_dim)
-                     .transpose(0, 2, 1, 3))
-
-        q = self.rotary.apply_rows(split(qkv[..., :h], self.num_heads),
-                                   offsets)
-        k_new = self.rotary.apply_rows(
-            split(qkv[..., h:h + kv_dim], self.num_kv_heads), offsets)
-        v_new = split(qkv[..., h + kv_dim:], self.num_kv_heads)
+        # (rows, heads + 2 * kv_heads, span, head_dim): Q, K, V heads.
+        qkv = (self.qkv(x).data
+               .reshape(rows, span, heads + 2 * kv_heads, self.head_dim)
+               .transpose(0, 2, 1, 3))
+        # Q and K heads rotate together, in one pass over one table.
+        qk = self.rotary.apply_rows(qkv[:, :heads + kv_heads], offsets)
+        q, k_new = qk[:, :heads], qk[:, heads:]
+        v_new = qkv[:, heads + kv_heads:]
         views = [store.append(k_new[row:row + 1], v_new[row:row + 1])
                  for row, store in enumerate(stores)]
 
@@ -423,17 +423,20 @@ class CausalSelfAttention(Module):
             groups: dict[int, list[int]] = {}
             for row, offset in enumerate(offsets):
                 groups.setdefault(offset, []).append(row)
-            ctx = np.empty_like(q)
+            # One group covering every row needs no scatter into ctx.
+            ctx = np.empty_like(q, order="C") if len(groups) > 1 else None
             scale = 1.0 / np.sqrt(self.head_dim)
             for offset, group in groups.items():
                 if len(group) == 1:
+                    rows_at = slice(group[0], group[0] + 1)
                     k, v = views[group[0]]
                 else:
+                    rows_at = group
                     k = np.concatenate([views[row][0] for row in group])
                     v = np.concatenate([views[row][1] for row in group])
                 k = self._expand_kv_np(k)
                 v = self._expand_kv_np(v)
-                scores = (q[group] @ np.swapaxes(k, -1, -2)) * scale
+                scores = (q[rows_at] @ np.swapaxes(k, -1, -2)) * scale
                 if span > 1:
                     total = offset + span
                     qi = np.arange(offset, total)[:, None]
@@ -442,7 +445,10 @@ class CausalSelfAttention(Module):
                 shifted = scores - scores.max(axis=-1, keepdims=True)
                 e = np.exp(shifted)
                 probs = e / e.sum(axis=-1, keepdims=True)
-                ctx[group] = probs @ v
+                if ctx is None:
+                    ctx = probs @ v
+                else:
+                    ctx[rows_at] = probs @ v
 
         merged = (Tensor(ctx).transpose(0, 2, 1, 3)
                   .reshape(rows, span, self.hidden_size))
