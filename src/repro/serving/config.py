@@ -257,12 +257,6 @@ class ServingConfig:
     # Overload protection (deadlines, load shedding, degraded mode,
     # circuit breaker).  The default is a bit-for-bit no-op.
     overload: OverloadConfig = OverloadConfig()
-    # Uniform-length admission bucketing: quantize prompt lengths to
-    # multiples of this many tokens when ordering the waiting queue, so
-    # co-admitted requests share context-length buckets and the grouped
-    # (exact) decode path degenerates into fewer per-length calls.
-    # 0 keeps the exact legacy admission order.
-    bucket_tokens: int = 0
     # Speculative decoding (None = plain one-token-per-step decoding).
     spec_decode: SpecDecodeConfig | None = None
     # Engine loop bound.
@@ -295,8 +289,7 @@ class ServingConfig:
     def scheduler_config(self) -> SchedulerConfig:
         return SchedulerConfig(policy=self.policy,
                                max_batch_size=self.max_batch_size,
-                               max_batch_tokens=self.max_batch_tokens,
-                               bucket_tokens=self.bucket_tokens)
+                               max_batch_tokens=self.max_batch_tokens)
 
     def pool_config(self) -> KVPoolConfig:
         return KVPoolConfig(block_size=self.block_size,

@@ -301,11 +301,6 @@ class SchedulerConfig:
     policy: str = "fcfs"
     max_batch_size: int = 8
     max_batch_tokens: int = 4096
-    #: quantize prompt lengths to multiples of this many tokens when
-    #: ordering the waiting queue (0 = off, the exact legacy order), so
-    #: co-admitted requests share context-length buckets and the
-    #: grouped exact decode path makes fewer per-length kernel calls
-    bucket_tokens: int = 0
 
     def __post_init__(self) -> None:
         if self.policy not in _POLICIES:
@@ -315,9 +310,6 @@ class SchedulerConfig:
             raise ValueError("max_batch_size must be >= 1")
         if self.max_batch_tokens < 1:
             raise ValueError("max_batch_tokens must be >= 1")
-        if self.bucket_tokens < 0:
-            raise ValueError(
-                f"bucket_tokens must be >= 0: {self.bucket_tokens}")
 
 
 class ContinuousBatchScheduler:
@@ -342,19 +334,8 @@ class ContinuousBatchScheduler:
         self.waiting.append(request)
 
     def _sort_waiting(self) -> None:
-        bt = self.config.bucket_tokens
         if self.config.policy == "spf":
-            if bt > 0:
-                key = lambda r: (r.prompt_len // bt, r.arrival_time,
-                                 r.request_id)
-            else:
-                key = lambda r: (r.prompt_len, r.arrival_time, r.request_id)
-        elif bt > 0:
-            # Length-bucketed FCFS: requests whose prompts round to the
-            # same bucket keep arrival order, but buckets are co-admitted
-            # together so the running batch shares context lengths.
-            key = lambda r: (r.prompt_len // bt, r.arrival_time,
-                             r.request_id)
+            key = lambda r: (r.prompt_len, r.arrival_time, r.request_id)
         else:
             key = lambda r: (r.arrival_time, r.request_id)
         self.waiting.sort(key=key)
@@ -400,26 +381,6 @@ class ContinuousBatchScheduler:
         return self.pool.allocate(req.request_id, need)
 
     # ------------------------------------------------------------------
-    def preempt_victim(self, keep: Request | None = None) -> Request | None:
-        """Evict the most recently admitted running request (LIFO).
-
-        ``keep`` marks a request that must survive (the one we are trying
-        to grow).  Returns the victim, already requeued, or None if no
-        other request can be evicted.
-        """
-        for victim in reversed(self.running):
-            if victim is keep:
-                continue
-            self.running.remove(victim)
-            self.pool.free(victim.request_id)
-            victim.reset_for_requeue()
-            # Head of the queue: a preempted request resumes first among
-            # equals (its original arrival time keeps its FCFS rank).
-            self.waiting.append(victim)
-            self.total_preemptions += 1
-            return victim
-        return None
-
     def preempt(self, request: Request) -> None:
         """Evict a specific running request (self-preemption)."""
         self.running.remove(request)

@@ -236,24 +236,8 @@ class TestBucketing:
                            KVPoolConfig(block_size=8, num_blocks=64))
         return ContinuousBatchScheduler(pool, SchedulerConfig(**kw))
 
-    def test_bucketed_fcfs_groups_lengths(self):
-        """bucket_tokens co-admits similar prompt lengths."""
-        sched = self._sched(max_batch_size=8, bucket_tokens=8)
-        lengths = [30, 5, 29, 6, 31, 4]
-        for i, n in enumerate(lengths):
-            sched.submit(Request(request_id=i,
-                                 prompt=np.zeros(n, dtype=np.int64),
-                                 max_new_tokens=4,
-                                 arrival_time=0.001 * i))
-        sched._sort_waiting()
-        buckets = [r.prompt_len // 8 for r in sched.waiting]
-        assert buckets == sorted(buckets)
-        # Arrival order holds inside a bucket.
-        short = [r.request_id for r in sched.waiting
-                 if r.prompt_len // 8 == 0]
-        assert short == sorted(short)
-
     def test_zero_keeps_pure_fcfs(self):
+        """FCFS admits in arrival order whatever the prompt lengths."""
         sched = self._sched(max_batch_size=8)
         for i, n in enumerate([30, 5, 29]):
             sched.submit(Request(request_id=i,
@@ -262,18 +246,3 @@ class TestBucketing:
                                  arrival_time=0.001 * i))
         sched._sort_waiting()
         assert [r.request_id for r in sched.waiting] == [0, 1, 2]
-
-    def test_engine_outputs_invariant_under_bucketing(self):
-        """Bucketing reorders admission, never changes what is decoded."""
-        config = tiny_config()
-        model = GPTModel(config, seed=0)
-        plain = ServingEngine(model, ServingConfig(
-            num_blocks=64, block_size=8, max_batch_size=4)).run(
-                sampled_requests(config, n=8))
-        bucketed = ServingEngine(model, ServingConfig(
-            num_blocks=64, block_size=8, max_batch_size=4,
-            bucket_tokens=8)).run(sampled_requests(config, n=8))
-        assert sorted(plain.outputs) == sorted(bucketed.outputs)
-        for i in plain.outputs:
-            np.testing.assert_array_equal(plain.outputs[i],
-                                          bucketed.outputs[i])

@@ -178,18 +178,6 @@ class TestScheduler:
         assert len(sched.admit(now=0.0)) == 1
         assert sched.queue_depth == 1
 
-    def test_preempt_victim_is_lifo_and_requeued(self, model):
-        sched = ContinuousBatchScheduler(self._pool(model))
-        reqs = [self._req(i, 3, arrival=float(i)) for i in range(3)]
-        for r in reqs:
-            sched.submit(r)
-        sched.admit(now=5.0)
-        victim = sched.preempt_victim(keep=reqs[2])
-        assert victim is reqs[1]        # last admitted other than keep
-        assert victim.preemptions == 1
-        assert victim in sched.waiting
-        assert sched.pool.tokens_of(victim.request_id) == 0
-
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             SchedulerConfig(policy="lifo")
