@@ -38,6 +38,11 @@ def _denormalize(text: str) -> str:
     return text.replace(_SPACE_MARKER, " ").lstrip(" ")
 
 
+def _unk_penalty(log_p: dict[str, float]) -> float:
+    """Log-prob of an unknown character: 10 nats below the rarest piece."""
+    return min(log_p.values(), default=-20.0) - 10.0
+
+
 class UnigramTokenizer(Tokenizer):
     """Trainable unigram-LM tokenizer with Viterbi encoding.
 
@@ -94,9 +99,13 @@ class UnigramTokenizer(Tokenizer):
         # lowest-probability multi-char pieces until the target is reached.
         while True:
             for _ in range(self.em_iterations):
+                # One log-prob table (and unknown-character penalty) per
+                # EM pass, shared by every line's segmentation.
+                log_p = {k: float(np.log(v)) for k, v in probs.items()}
+                unk = _unk_penalty(log_p)
                 counts: Counter = Counter()
                 for line in corpus:
-                    for piece in self._viterbi(line, probs):
+                    for piece in self._viterbi(line, log_p, unk):
                         counts[piece] += 1
                 new_probs = {p: float(counts.get(p, 0)) + 1e-6 for p in probs}
                 probs = new_probs
@@ -131,18 +140,22 @@ class UnigramTokenizer(Tokenizer):
         for k in probs:
             probs[k] /= total
 
-    def _viterbi(self, line: str, probs: dict[str, float] | None = None
-                 ) -> list[str]:
-        """Best segmentation of ``line`` under the current piece model."""
-        if probs is None:
+    def _viterbi(self, line: str, log_p: dict[str, float] | None = None,
+                 unk_penalty: float | None = None) -> list[str]:
+        """Best segmentation of ``line`` under a piece log-prob table.
+
+        ``log_p`` defaults to the trained :attr:`log_probs`; training
+        passes the current EM pass's table and its ``unk_penalty``,
+        built once per pass rather than once per line.
+        """
+        if log_p is None:
             log_p = self.log_probs
-        else:
-            log_p = {k: float(np.log(v)) for k, v in probs.items()}
+        if unk_penalty is None:
+            unk_penalty = _unk_penalty(log_p)
         n = len(line)
-        best = np.full(n + 1, -np.inf)
+        best = [-np.inf] * (n + 1)
         best[0] = 0.0
-        back = np.zeros(n + 1, dtype=np.int64)
-        unk_penalty = min(log_p.values(), default=-20.0) - 10.0
+        back = [0] * (n + 1)
         for i in range(1, n + 1):
             for j in range(max(0, i - self.max_piece_len), i):
                 piece = line[j:i]
@@ -158,7 +171,7 @@ class UnigramTokenizer(Tokenizer):
         pieces: list[str] = []
         i = n
         while i > 0:
-            j = int(back[i])
+            j = back[i]
             pieces.append(line[j:i])
             i = j
         return pieces[::-1]
