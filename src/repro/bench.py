@@ -6,7 +6,9 @@ scopes for that reason): it measures real elapsed seconds to demonstrate
 that the packed-pool batched decode step actually amortizes Python and
 matmul overhead the way :class:`~repro.serving.DecodeCostModel` credits
 it.  ``python -m repro perf-bench`` drives it and writes
-``BENCH_decode.json``.
+``BENCH_decode.json``, which also records the run environment (Python and
+NumPy versions, the BLAS thread variables, CPU count): wall times are
+only comparable between like environments.
 
 Two comparisons:
 
@@ -36,6 +38,8 @@ speculative (``--spec-decode``)
 
 from __future__ import annotations
 
+import os
+import platform
 import time
 
 import numpy as np
@@ -48,6 +52,10 @@ from .models.speculative import (DRAFT_SOURCES, NGramDraft, ModelDraft,
 __all__ = ["bench_decode", "bench_prefill", "bench_spec_decode",
            "run_spec_bench", "run_perf_bench",
            "format_perf_bench", "compare_perf_baseline"]
+
+#: BLAS/OpenMP thread-count variables; wall times are only comparable
+#: between runs that pin them alike.
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _make_prompts(model, batch_size: int, prompt_len: int,
@@ -313,6 +321,14 @@ def run_spec_bench(model_name: str = "tiny-llama",
             for draft in drafts for k in ks for temp in temperatures]
 
 
+def _run_environment() -> dict:
+    """Where a run was measured: Python, NumPy, BLAS threads, CPUs."""
+    return {"python": platform.python_version(),
+            "numpy": np.__version__,
+            **{var: os.environ.get(var) for var in _THREAD_VARS},
+            "cpu_count": os.cpu_count()}
+
+
 def run_perf_bench(model_name: str = "tiny-llama",
                    batch_sizes: tuple[int, ...] = (1, 2, 4, 8),
                    prompt_len: int = 32, new_tokens: int = 16,
@@ -336,6 +352,7 @@ def run_perf_bench(model_name: str = "tiny-llama",
         "model": model_name,
         "seed": seed,
         "repeats": repeats,
+        "environment": _run_environment(),
         "decode": decode,
         "prefill": prefill,
     }
