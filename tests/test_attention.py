@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.models import (CausalSelfAttention, RotaryEmbedding, Tensor,
-                          flash_attention_forward)
+from repro.models import (CausalSelfAttention, KVCache, RotaryEmbedding,
+                          Tensor, flash_attention_forward)
 
 
 def reference_attention(q, k, v, causal=True):
@@ -156,3 +156,13 @@ class TestCausalSelfAttention:
     def test_invalid_head_split(self):
         with pytest.raises(ValueError):
             CausalSelfAttention(30, 4, max_seq_len=8)
+
+    def test_forward_cached_rejects_multi_row_input(self):
+        """One cache holds one row: a batch of rows must not be served
+        by attending only the first row's context."""
+        attn = CausalSelfAttention(16, 2, max_seq_len=8)
+        cache = KVCache()
+        x = Tensor(np.random.default_rng(8).normal(size=(2, 3, 16)))
+        with pytest.raises(ValueError, match="one row"):
+            attn.forward_cached(x, cache)
+        assert cache.length == 0

@@ -2,10 +2,10 @@
 decode steps, chunked prefill, and the engine rewiring on top of them.
 
 The correctness bar is bit-exactness against the sequential per-request
-``_forward_cached`` path: the standard (non-flash) batched kernel groups
-requests by context length so its matmul shapes match the sequential
-ones exactly, and logits must be bitwise identical; the flash decode
-kernel reassociates the softmax, so there the bar is token parity.
+``_forward_cached`` path: the exact (non-flash) kernel stacks only rows
+of equal context length, so its matmul shapes match the sequential ones
+exactly, and logits must be bitwise identical; the flash decode kernel
+reassociates the softmax, so there the bar is token parity.
 """
 
 import json
@@ -226,19 +226,23 @@ class TestBatchedDecodeParity:
     def test_tokens_match_sequential(self, arch, kv_heads, flash):
         config = tiny_config(arch, kv_heads, flash)
         model = GPTModel(config, seed=0)
-        prompts = ragged_prompts(config)
-        ref_tokens, ref_logits = sequential_reference(model, prompts, 6)
-        bat_tokens, bat_logits = batched_decode(model, prompts, 6)
-        assert bat_tokens == ref_tokens
-        if not flash:
-            # Grouped-by-length standard kernel: bitwise, not approx.
-            for ref_hist, bat_hist in zip(ref_logits, bat_logits):
-                for ref_row, bat_row in zip(ref_hist, bat_hist):
-                    np.testing.assert_array_equal(bat_row, ref_row)
+        # Distinct context lengths, then partly repeated ones: every step
+        # of the second batch attends a lone row (13) next to stacked
+        # groups (5, 5 and 9, 9) in one forward.
+        for lengths in ((5, 9, 13, 7), (5, 9, 5, 13, 9)):
+            prompts = ragged_prompts(config, lengths)
+            ref_tokens, ref_logits = sequential_reference(model, prompts, 6)
+            bat_tokens, bat_logits = batched_decode(model, prompts, 6)
+            assert bat_tokens == ref_tokens
+            if not flash:
+                # Exact standard kernel: bitwise, not approx.
+                for ref_hist, bat_hist in zip(ref_logits, bat_logits):
+                    for ref_row, bat_row in zip(ref_hist, bat_hist):
+                        np.testing.assert_array_equal(bat_row, ref_row)
 
 
 def test_same_length_batch_single_group():
-    """Uniform contexts exercise the no-mask fast path, still bitwise."""
+    """Uniform contexts stack into one group, still bitwise."""
     config = tiny_config("llama", 2, 0)
     model = GPTModel(config, seed=0)
     prompts = ragged_prompts(config, (8, 8, 8))
@@ -408,4 +412,6 @@ class TestPerfBenchCLI:
         assert [row["batch_size"] for row in data["decode"]] == [1, 2]
         assert all(row["tokens_match"] for row in data["decode"])
         assert data["prefill"]["tokens_match"]
+        assert {"python", "numpy", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "cpu_count"} <= set(data["environment"])
         assert "speedup" in capsys.readouterr().out

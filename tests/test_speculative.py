@@ -2,12 +2,13 @@
 sampling, rollback via pool truncation, and the engine integration.
 
 The correctness bar mirrors the batched-decode one: the verification
-forward always runs the exact grouped kernel, so its logits are
-**bitwise identical** to per-request sequential ``_forward_cached``
-decoding across NeoX/LLaMA, GQA, and flash configs — which makes greedy
-speculative output bitwise equal to plain greedy decoding no matter how
-bad the draft proposals are.  Sampled speculative output matches the
-warped target distribution (seeded statistical test).
+forward always runs the exact kernel, so its argmax matches per-request
+sequential ``_forward_cached`` decoding across NeoX/LLaMA, GQA, and
+flash configs (and each stacked row is bitwise equal to verifying it
+alone) — which makes greedy speculative output bitwise equal to plain
+greedy decoding no matter how bad the draft proposals are.  Sampled
+speculative output matches the warped target distribution (seeded
+statistical test).
 """
 
 import numpy as np
@@ -49,41 +50,68 @@ class TestVerifyBatched:
         Logits agree to accumulation-order noise (the verify window is
         one matmul over k+1 rows) and argmax agrees exactly — even for
         flash configs, because verification always uses the exact
-        grouped kernel (flash_decode_forward reassociates the softmax,
-        which would break the greedy-parity guarantee tested below).
+        kernel (flash_decode_forward reassociates the softmax, which
+        would break the greedy-parity guarantee tested below).  The
+        second batch's contexts (5, 9, 5) stack two rows and attend one
+        alone in the same forward.
         """
         config = tiny_config(arch, kv_heads, flash)
         model = GPTModel(config, seed=0)
-        rng = np.random.default_rng(1)
-        lengths = (5, 9, 13)
+        for lengths in ((5, 9, 13), (5, 9, 5)):
+            rng = np.random.default_rng(1)
+            prompts = [rng.integers(0, config.vocab_size, size=n)
+                       for n in lengths]
+            span = 4
+            blocks = rng.integers(0, config.vocab_size,
+                                  size=(len(prompts), span))
+
+            pool = PackedKVPool.for_model(config, num_slots=len(prompts),
+                                          block_tokens=16)
+            slots = []
+            for prompt in prompts:
+                slot = pool.acquire()
+                model._forward_cached(prompt[None], pool.slot_caches(slot))
+                slots.append(slot)
+            batched = model.verify_step_batched(blocks, pool, slots)
+
+            for i, prompt in enumerate(prompts):
+                caches = [KVCache() for _ in model.layers]
+                model._forward_cached(prompt[None], caches)
+                for j in range(span):
+                    step = np.array([[blocks[i, j]]], dtype=np.int64)
+                    logits = model._forward_cached(step, caches)
+                    np.testing.assert_allclose(batched[i, j],
+                                               logits.data[0, -1],
+                                               rtol=1e-9, atol=1e-12)
+                    assert int(batched[i, j].argmax()) \
+                        == int(logits.data[0, -1].argmax())
+                # The pool holds prompt + span positions afterwards.
+                assert pool.length(0, slots[i]) == prompt.size + span
+
+    def test_stacked_rows_bitwise_equal_own_forward(self, arch, kv_heads,
+                                                    flash):
+        """Each row of a stacked verify is bit-identical to verifying
+        that row alone over its own pool."""
+        config = tiny_config(arch, kv_heads, flash)
+        model = GPTModel(config, seed=0)
+        rng = np.random.default_rng(2)
         prompts = [rng.integers(0, config.vocab_size, size=n)
-                   for n in lengths]
-        span = 4
-        blocks = rng.integers(0, config.vocab_size,
-                              size=(len(prompts), span))
+                   for n in (5, 9, 5)]
+        blocks = rng.integers(0, config.vocab_size, size=(3, 4))
 
-        pool = PackedKVPool.for_model(config, num_slots=len(prompts),
-                                      block_tokens=16)
-        slots = []
-        for prompt in prompts:
-            slot = pool.acquire()
-            model._forward_cached(prompt[None], pool.slot_caches(slot))
-            slots.append(slot)
-        batched = model.verify_step_batched(blocks, pool, slots)
+        def verify(rows):
+            pool = PackedKVPool.for_model(config, num_slots=len(rows))
+            slots = []
+            for i in rows:
+                slot = pool.acquire()
+                model._forward_cached(prompts[i][None],
+                                      pool.slot_caches(slot))
+                slots.append(slot)
+            return model.verify_step_batched(blocks[rows], pool, slots)
 
-        for i, prompt in enumerate(prompts):
-            caches = [KVCache() for _ in model.layers]
-            model._forward_cached(prompt[None], caches)
-            for j in range(span):
-                step = np.array([[blocks[i, j]]], dtype=np.int64)
-                logits = model._forward_cached(step, caches)
-                np.testing.assert_allclose(batched[i, j],
-                                           logits.data[0, -1],
-                                           rtol=1e-9, atol=1e-12)
-                assert int(batched[i, j].argmax()) \
-                    == int(logits.data[0, -1].argmax())
-            # The pool holds prompt + span positions afterwards.
-            assert pool.length(0, slots[i]) == prompt.size + span
+        stacked = verify([0, 1, 2])
+        for i in range(3):
+            np.testing.assert_array_equal(stacked[i], verify([i])[0])
 
 
 @pytest.mark.parametrize("arch", ["neox", "llama"])
