@@ -7,8 +7,8 @@ that with *one* contiguous ``(slots, kv_heads, capacity, head_dim)`` K
 and V buffer per layer: every in-flight request leases a slot, lengths
 are tracked per (layer, slot), and capacity grows geometrically in
 block-granular steps shared by all slots — so appending a token is an
-in-place write, and a whole decode batch can be gathered into stacked
-arrays for a single forward call.
+in-place write, and a whole decode batch runs as a single forward call
+over views of the slots.
 
 Access goes through two paths:
 
@@ -190,10 +190,6 @@ class PackedKVPool:
     # -- length bookkeeping ---------------------------------------------
     def length(self, layer: int, slot: int) -> int:
         return int(self._lengths[layer, slot])
-
-    def lengths_of(self, layer: int, slots) -> np.ndarray:
-        """Current lengths of ``slots`` in ``layer`` (copy)."""
-        return self._lengths[layer, np.asarray(slots, dtype=np.int64)].copy()
 
     # -- growth ---------------------------------------------------------
     def _ensure_capacity(self, need: int) -> None:

@@ -15,10 +15,11 @@ Two admission policies are provided:
     fairness for mean TTFT (the classic SJF trade-off, observable in the
     metrics).
 
-When the pool cannot supply the next token's block, the scheduler
-preempts the *most recently admitted* running request (LIFO victim
-choice, as in vLLM's recompute mode): its blocks are freed and it
-returns to the head of the queue to be re-prefilled later.  Greedy
+When the pool cannot supply the next token's block, the replica core
+(:mod:`repro.serving.replica`) preempts the *most recently admitted*
+running request (LIFO victim choice, as in vLLM's recompute mode)
+through :meth:`ContinuousBatchScheduler.preempt`: its blocks are freed
+and it returns to the queue to be re-prefilled later.  Greedy
 decoding makes recomputation produce identical tokens, so preemption is
 invisible in outputs — only in latency.
 """
