@@ -7,6 +7,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.faults import FaultConfig, RetryPolicy
@@ -15,10 +16,11 @@ from repro.models import preset
 from repro.parallel.collectives import CollectiveModel
 from repro.serving import (HANDOFF_POLICIES, ClusterConfig, ClusterSimulator,
                            FailoverConfig, KVTransferConfig, KVTransferModel,
-                           ReplicaLayout, RoutingConfig, ServingConfig,
-                           SessionWorkloadConfig, TransferRecord,
-                           WorkloadConfig, format_cluster, kv_bytes_per_token,
-                           synthesize_sessions, synthesize_workload)
+                           ReplicaLayout, Request, RoutingConfig,
+                           ServingConfig, SessionWorkloadConfig,
+                           TransferRecord, WorkloadConfig, format_cluster,
+                           kv_bytes_per_token, synthesize_sessions,
+                           synthesize_workload)
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +248,40 @@ class TestDisaggRun:
         table = format_cluster([colo, disagg])
         assert "xfers" in table and "requeued" in table
         assert "xfers" not in format_cluster([colo])
+
+    def test_dead_on_arrival_handoff_is_cancelled(self, config):
+        """A deadline that falls between a request's handoff and its KV
+        delivery times it out at stage ``handoff``, before any wire time
+        is spent on it."""
+        rng = np.random.default_rng(0)
+        long_prompt = rng.integers(0, config.vocab_size, size=1024)
+        short_prompt = rng.integers(0, config.vocab_size, size=64)
+
+        def run(deadline):
+            # The short undated request keeps the run from completing
+            # nothing when the long one is cancelled.
+            requests = [
+                Request(request_id=0, prompt=long_prompt, max_new_tokens=8,
+                        arrival_time=0.0, deadline_s=deadline),
+                Request(request_id=1, prompt=short_prompt, max_new_tokens=8,
+                        arrival_time=0.0)]
+            return run_disagg(config, layout="1P1DxTP1", nodes=1,
+                              requests=requests)[1]
+
+        free = run(None)
+        first_token = free.records[0].first_token
+        [wire] = [t for t in free.transfer_records if t.request_id == 0]
+        assert wire.start == first_token
+        res = run(first_token + 0.5 * wire.duration_s)
+        [timeout] = res.timeout_records
+        assert (timeout.request_id, timeout.stage) == (0, "handoff")
+        assert timeout.cancelled_at == first_token
+        assert [t.request_id for t in res.transfer_records] == [1]
+        assert [r.request_id for r in res.records] == [1]
+        assert res.transfers == 1
+        router = res.lanes["cluster"]["router"]
+        assert [e.name for e in router if e.category == "timeout"] == \
+            ["req0/timeout"]
 
 
 class TestHandoffPolicies:

@@ -333,6 +333,39 @@ class TestServingFailover:
         assert "availability" in data and "fault_events" in data
         assert data["submitted"] == 64
 
+    @staticmethod
+    def run_links(model_config, layout, faults):
+        cfg = ClusterConfig(num_nodes=2,
+                            layout=ReplicaLayout.from_label(layout),
+                            faults=faults)
+        wl = WorkloadConfig(num_requests=64, arrival_rate=400.0, seed=0)
+        return ClusterSimulator(model_config, cfg).run(
+            synthesize_workload(wl, model_config))
+
+    LINKS = FaultConfig(link_mtbe_hours=0.0001, link_degrade_factor=0.25,
+                        link_window_s=0.2, seed=3)
+
+    def test_degraded_link_slows_tensor_parallel_decode(self, model_config):
+        free = self.run_links(model_config, "2xTP4", None)
+        hit = self.run_links(model_config, "2xTP4", self.LINKS)
+        assert hit.fault_events
+        assert {e["kind"] for e in hit.fault_events} == {"link-degrade"}
+        assert hit.percentiles("tpot", (50.0,))[50.0] \
+            > free.percentiles("tpot", (50.0,))[50.0]
+        lanes = [e for group in hit.lanes.values()
+                 for events in group.values() for e in events
+                 if e.category == "link-degrade"]
+        assert lanes
+        assert hit.availability == 1.0 and hit.retries_total == 0
+
+    def test_degraded_link_leaves_tp1_untouched(self, model_config):
+        free = self.run_links(model_config, "8xTP1", None)
+        hit = self.run_links(model_config, "8xTP1", self.LINKS)
+        assert hit.fault_events
+        assert [r.__dict__ for r in hit.records] == \
+            [r.__dict__ for r in free.records]
+        assert hit.metrics == free.metrics
+
     def test_failover_config_validation(self):
         with pytest.raises(ValueError, match="detection_s"):
             FailoverConfig(detection_s=-1.0)

@@ -449,6 +449,25 @@ class TestClusterOverload:
         assert data["queue_depth_series"]
         assert "breaker_trips" in data
 
+    def test_priority_evicts_queued_batch_work(self):
+        _, res = run_cluster(
+            OverloadConfig(shed_policy="priority", max_queue_depth=8),
+            n=64, rate=400.0, max_outstanding=1, batch_fraction=0.5)
+        evicted = [s for s in res.shed_records
+                   if s.reason == "priority-evict"]
+        assert evicted
+        assert all(s.tier == "batch" for s in evicted)
+        assert {s.reason for s in res.shed_records} == \
+            {"priority-evict", "queue-full"}
+        assert any(s.tier == "batch" and s.reason == "queue-full"
+                   for s in res.shed_records)
+        tiers = [s.tier for s in res.shed_records]
+        assert tiers.count("batch") >= tiers.count("interactive")
+        assert res.max_queue_depth <= 8
+        ids = [r.request_id for r in res.records] \
+            + [s.request_id for s in res.shed_records]
+        assert sorted(ids) == list(range(res.submitted))
+
 
 class TestAvailabilitySemantics:
     REC = RequestRecord(request_id=0, arrival=0.0, admit=0.0,
@@ -501,6 +520,51 @@ class TestChaosAccounting:
             assert_no_leaks(replica.pool, replica.scheduler,
                             replica.prefix_cache)
             assert not replica.outbox
+
+    @staticmethod
+    def run_chaos(shed):
+        return run_cluster(
+            OverloadConfig(shed_policy=shed, breaker=True,
+                           max_queue_depth=8),
+            n=64, rate=200.0, deadline=1.0, mtbf=0.0002,
+            max_outstanding=4)[1]
+
+    def test_failover_past_the_deadline_times_out(self):
+        """A request whose replica is detected dead after its deadline
+        is cancelled at the router with its partial output, not
+        retried."""
+        res = self.run_chaos("deadline-estimate")
+        assert any(e["kind"] == "failure" for e in res.fault_events)
+        detections = {e.start_s for group in res.lanes.values()
+                      for events in group.values() for e in events
+                      if e.name == "fault/detect"}
+        router = res.lanes["cluster"]["router"]
+        retried_at = {(e.name.split("/")[0], e.start_s) for e in router
+                      if e.category == "retry"}
+        expired = [t for t in res.timeout_records
+                   if t.stage == "queued" and t.output_len > 0
+                   and t.cancelled_at in detections]
+        assert expired
+        for t in expired:
+            assert t.cancelled_at > t.deadline
+            assert (f"req{t.request_id}", t.cancelled_at) not in retried_at
+        assert len(res.records) + len(res.failed_records) \
+            + len(res.shed_records) + len(res.timeout_records) == \
+            res.submitted
+
+    def test_arrivals_are_shed_while_faults_replay(self):
+        res = self.run_chaos("bounded-queue")
+        assert any(e["kind"] == "failure" for e in res.fault_events)
+        assert res.shed_records
+        assert all(s.reason == "queue-full" and s.shed_at == s.arrival
+                   for s in res.shed_records)
+        assert not {s.request_id for s in res.shed_records} \
+            & set(res.assignments)
+        ids = [r.request_id for r in res.records] \
+            + [f.request_id for f in res.failed_records] \
+            + [s.request_id for s in res.shed_records] \
+            + [t.request_id for t in res.timeout_records]
+        assert sorted(ids) == list(range(res.submitted))
 
 
 # ----------------------------------------------------------------------
