@@ -43,22 +43,24 @@ get their own Chrome-trace lane (``cluster/kv-transfer``), and a
 transfer in flight toward a replica that dies is re-queued through the
 normal failover path, never dropped.
 
-With ``ClusterConfig.faults`` set, the cluster additionally replays a
-seeded :class:`~repro.faults.FaultModel`: replicas die on the virtual
-clock (a failure takes effect at the victim's first step boundary at or
-after its onset — steps are atomic), stay invisible to the router until
-the health check fires ``detection_s`` later, and rejoin ``recovery_s``
-after death.  In-flight requests of a dead replica — including ones
-routed to it during the detection window — are failed over: reset,
+One router event loop runs every cluster, and it replays a seeded
+:class:`~repro.faults.FaultModel` built from ``ClusterConfig.faults``:
+replicas die on the virtual clock (a failure takes effect at the
+victim's first step boundary at or after its onset — steps are
+atomic), stay invisible to the router until the health check fires
+``detection_s`` later, and rejoin ``recovery_s`` after death.
+In-flight requests of a dead replica — including ones routed to it
+during the detection window — are failed over: reset,
 delayed by the capped-exponential-backoff-with-deterministic-jitter
 :class:`~repro.faults.RetryPolicy`, and re-routed to survivors, or
 abandoned as :class:`~repro.serving.results.FailedRequest` once their
 retry budget is spent.  Stragglers stretch the victim's step durations
 over their window; a degraded link stretches only the TP-allreduce
 share of the affected node's replicas (TP=1 replicas pay nothing —
-decode sends no cross-GCD traffic).  With ``faults`` unset (or all
-processes disabled) the simulator runs the identical code path as
-before, bit for bit.
+decode sends no cross-GCD traffic).  With ``faults`` unset, or every
+process disabled (all-``inf`` rates), the fault stream is empty:
+nothing dies or slows, and only arrivals and KV deliveries drive the
+router.
 """
 
 from __future__ import annotations
@@ -225,7 +227,7 @@ class ClusterConfig:
     routing: RoutingConfig = RoutingConfig()
     #: KV-transfer pricing (disaggregated layouts only)
     transfer: KVTransferConfig = KVTransferConfig()
-    #: fault process to replay (None, or all-inf rates, = exact no-op)
+    #: fault process to replay (None, or all-inf rates: an empty stream)
     faults: FaultConfig | None = None
     #: detection / recovery / retry semantics when ``faults`` is active
     failover: FailoverConfig = FailoverConfig()
@@ -440,7 +442,7 @@ class ClusterSimulator:
         #: arrival branches
         self._router_clock = 0.0
         self._has_deadlines = False
-        # -- failover state (all inert on the fault-free path) ----------
+        # -- failover state (inert while the fault stream is empty) -----
         self._seq = itertools.count()     # heap tie-break counter
         self._deferred: list[tuple[float, int, Request]] = []  # retries
         self._detections: list[tuple[float, int, int]] = []
@@ -724,8 +726,7 @@ class ClusterSimulator:
             self._affinity[req.session_id] = chosen.index
         return chosen
 
-    def _collect_outbox(self, src: ReplicaServer,
-                        fo: FailoverConfig | None) -> None:
+    def _collect_outbox(self, src: ReplicaServer) -> None:
         """Turn ``src``'s completed prefills into in-flight KV transfers.
 
         Called after every replica step with the replica that stepped,
@@ -747,10 +748,7 @@ class ClusterSimulator:
             if dst is None:
                 # Every decode replica is down: ride the normal
                 # failover path (re-prefill elsewhere later).
-                if fo is None:  # pragma: no cover — layout invariant
-                    raise RuntimeError(
-                        "no decode replica available for handoff")
-                self._fail_over(req, ready, fo)
+                self._fail_over(req, ready)
                 continue
             tokens = req.prefill_pos
             same_node = dst.node_index == src.node_index
@@ -779,7 +777,7 @@ class ClusterSimulator:
                 f"req{req.request_id}/kv-transfer", ready, duration,
                 "kv-transfer", "comm"))
 
-    def _deliver(self, fo: FailoverConfig | None) -> None:
+    def _deliver(self) -> None:
         """Complete the earliest in-flight transfer at its destination."""
         arrive, _, req, _src, dst_flat = heapq.heappop(self._transfers)
         self._inbound[dst_flat] -= 1
@@ -791,7 +789,7 @@ class ClusterSimulator:
             self._transfer_events.append(TraceEvent(
                 f"req{req.request_id}/kv-requeue", arrive, 0.0,
                 "kv-requeue", "comm"))
-            self._fail_over(req, arrive, fo, stage="kv-in-flight")
+            self._fail_over(req, arrive, stage="kv-in-flight")
             return
         # A dead-but-undetected destination accepts the import into its
         # queue — the same stale-router window arrivals see; detection
@@ -800,8 +798,7 @@ class ClusterSimulator:
                                             dst.replica_index)
         self._enqueue(dst, req, max(arrive, self._lift(dst)))
 
-    def _requeue_transfers(self, dst_flat: int, now: float,
-                           fo: FailoverConfig) -> None:
+    def _requeue_transfers(self, dst_flat: int, now: float) -> None:
         """Failover: re-queue in-flight transfers toward a dead replica.
 
         No silent drop — each affected request rides the normal retry
@@ -820,7 +817,7 @@ class ClusterSimulator:
             self._transfer_events.append(TraceEvent(
                 f"req{req.request_id}/kv-requeue", now, 0.0,
                 "kv-requeue", "comm"))
-            self._fail_over(req, now, fo, stage="kv-in-flight")
+            self._fail_over(req, now, stage="kv-in-flight")
         if len(kept) != len(self._transfers):
             self._transfers = kept
             heapq.heapify(self._transfers)
@@ -839,15 +836,9 @@ class ClusterSimulator:
                                   for r in arrivals)
         for replica in self.replicas:
             replica.deadline_checks = self._has_deadlines
-        faults = self.config.faults
-        if faults is None or faults.fault_free:
-            queued = self._run_fault_free(arrivals)
-        else:
-            queued = self._run_with_faults(arrivals, faults)
-        return self._assemble(arrivals, queued)
+        return self._assemble(arrivals, self._event_loop(arrivals))
 
-    def _advance_replicas(self, t_target: float,
-                          fo: FailoverConfig | None) -> float:
+    def _advance_replicas(self, t_target: float) -> float:
         """Advance the fleet to ``t_target``, collecting handoffs.
 
         Steps the laggard among busy replicas one at a time so a
@@ -862,90 +853,26 @@ class ClusterSimulator:
             if laggard is None or laggard.clock >= t_target:
                 break
             laggard.step()
-            self._collect_outbox(laggard, fo)
+            self._collect_outbox(laggard)
             if self._transfers and self._transfers[0][0] < t_target:
                 t_target = self._transfers[0][0]
         self._floor = max(self._floor, t_target)
         return t_target
 
-    def _run_fault_free(self, arrivals: list[Request]) -> int:
-        """Arrival/delivery/drain loop without faults; returns queued.
-
-        For colocated layouts no transfers ever exist and this reduces
-        to the original exact arrival loop; disaggregated layouts
-        interleave KV deliveries with arrivals on the virtual clock
-        (ties resolve delivery first — imported work is mid-pipeline).
-        """
-        queued = 0
-        index = 0
-        while True:
-            t_arrive = arrivals[index].arrival_time \
-                if index < len(arrivals) else math.inf
-            t_deliver = self._transfers[0][0] if self._transfers \
-                else math.inf
-            t_router = min(t_arrive, t_deliver)
-
-            if math.isinf(t_router):
-                # Drain: step the laggard until queued work can route
-                # and every replica idles (handoffs may appear anytime).
-                self._dispatch_pending()
-                laggard = self._laggard()
-                if laggard is None:
-                    if self._pending:  # pragma: no cover — cap >= 1
-                        raise RuntimeError(
-                            "cluster stalled with queued requests")
-                    break
-                laggard.step()
-                self._router_clock = max(self._router_clock,
-                                         laggard.clock)
-                self._collect_outbox(laggard, None)
-                continue
-
-            t_router = self._advance_replicas(t_router, None)
-            self._router_clock = max(self._router_clock, t_router)
-            self._dispatch_pending()
-            t_deliver = self._transfers[0][0] if self._transfers \
-                else math.inf
-            if t_deliver <= t_router:
-                self._deliver(None)
-                continue
-
-            req = arrivals[index]
-            index += 1
-            t = req.arrival_time
-            self._router_events.append(TraceEvent(
-                f"req{req.request_id}/arrive", t, 0.0, "arrive", "io"))
-            if self._overload.shedding:
-                reason = self._shed_reason(req, t)
-                if reason is not None:
-                    self._shed_request(req, t, reason)
-                    self._sample_queue(t)
-                    continue
-            replica = self._choose(req) if not self._pending else None
-            if replica is None:
-                # Backpressure: every replica is at its admission cap
-                # (or earlier arrivals are still queued ahead of us).
-                queued += 1
-                self._router_events.append(TraceEvent(
-                    f"req{req.request_id}/queue", t, 0.0, "queue", "io"))
-                self._pending.append(req)
-                self._sample_queue(t)
-            else:
-                self._dispatch(req, replica, t)
-        return queued
-
-    # -- failover path --------------------------------------------------
-    def _run_with_faults(self, arrivals: list[Request],
-                         faults: FaultConfig) -> int:
-        """Arrival/drain loop interleaved with the seeded fault process.
+    def _event_loop(self, arrivals: list[Request]) -> int:
+        """Route arrivals through the fault process; returns queued.
 
         The router's next event is the earliest of: arrival, health-check
         detection, replica recovery, retry-backoff expiry, KV-transfer
-        delivery.  Fault onsets at or before that instant are applied
-        first (each takes effect at its victim's next step boundary), so
-        no replica ever computes past an unapplied fault.
+        delivery, and (breaker armed, requests queued) an open breaker
+        half-opening.  Fault onsets at or before that instant are
+        applied first (each takes effect at its victim's next step
+        boundary), so no replica ever computes past an unapplied fault.
+        A fault-free cluster replays an empty fault stream: nothing
+        dies, so only arrivals and KV deliveries remain as events.
         """
-        fm = FaultModel(faults, len(self.replicas),
+        fm = FaultModel(self.config.faults or FaultConfig(),
+                        len(self.replicas),
                         gcds_per_component=self.config.layout.tp,
                         num_link_domains=self.config.num_nodes)
         fo = self.config.failover
@@ -973,20 +900,20 @@ class ClusterSimulator:
                 if laggard is None:
                     break
                 if fm.peek_time() <= laggard.clock:
-                    self._apply_fault(fm.pop(), fo)
+                    self._apply_fault(fm.pop())
                 else:
                     laggard.step()
                     self._router_clock = max(self._router_clock,
                                              laggard.clock)
-                    self._collect_outbox(laggard, fo)
+                    self._collect_outbox(laggard)
                     self._dispatch_pending()
                 continue
 
             if fm.peek_time() <= t_router:
-                self._apply_fault(fm.pop(), fo)
+                self._apply_fault(fm.pop())
                 continue
 
-            t_router = self._advance_replicas(t_router, fo)
+            t_router = self._advance_replicas(t_router)
             self._router_clock = max(self._router_clock, t_router)
             self._dispatch_pending()
 
@@ -1011,10 +938,10 @@ class ClusterSimulator:
                     t_router, math.inf if fo.fail_stop
                     else fo.recovery_s - fo.detection_s)
                 for req in replica.take_in_flight():
-                    self._fail_over(req, t_router, fo)
+                    self._fail_over(req, t_router)
                 # In-flight transfers toward the dead replica are
                 # re-queued with its resident requests — never dropped.
-                self._requeue_transfers(flat, t_router, fo)
+                self._requeue_transfers(flat, t_router)
             elif t_recover == t_router:
                 _, _, flat = heapq.heappop(self._recoveries)
                 replica = self.replicas[flat]
@@ -1022,21 +949,13 @@ class ClusterSimulator:
                 replica.revive(t_router)
                 self._dispatch_pending()
             elif t_deliver <= t_router:
-                self._deliver(fo)
+                self._deliver()
             elif t_retry == t_router:
                 # Retries bypass admission control: the request already
                 # holds mid-pipeline investment (a served TTFT, billed
                 # prefill) that shedding it would discard.
                 _, _, req = heapq.heappop(self._deferred)
-                replica = self._choose(req) if not self._pending else None
-                if replica is None:
-                    self._router_events.append(TraceEvent(
-                        f"req{req.request_id}/queue", t_router, 0.0,
-                        "queue", "io"))
-                    self._pending.append(req)
-                    self._sample_queue(t_router)
-                else:
-                    self._dispatch(req, replica, t_router)
+                self._route_or_queue(req, t_router)
             elif t_arrive > t_router:
                 # Breaker-reopen tick: _dispatch_pending above already
                 # routed what the half-open breaker's probes admit.
@@ -1053,16 +972,8 @@ class ClusterSimulator:
                         self._shed_request(req, t_router, reason)
                         self._sample_queue(t_router)
                         continue
-                replica = self._choose(req) if not self._pending else None
-                if replica is None:
+                if self._route_or_queue(req, t_router):
                     queued += 1
-                    self._router_events.append(TraceEvent(
-                        f"req{req.request_id}/queue", t_router, 0.0,
-                        "queue", "io"))
-                    self._pending.append(req)
-                    self._sample_queue(t_router)
-                else:
-                    self._dispatch(req, replica, t_router)
 
         if self._pending:
             raise ValueError(
@@ -1071,13 +982,32 @@ class ClusterSimulator:
                 f"every replica failed and recovery_s="
                 f"{fo.recovery_s} never revives one; set a finite "
                 f"recovery_s or raise mtbf_hours "
-                f"(={faults.mtbf_hours})")
+                f"(={fm.config.mtbf_hours})")
         return queued
 
-    def _apply_fault(self, event: FaultEvent, fo: FailoverConfig) -> None:
+    def _route_or_queue(self, req: Request, now: float) -> bool:
+        """Dispatch ``req`` at ``now``, or queue it; True if it queued.
+
+        Backpressure: a request queues when every replica is at its
+        admission cap, or when earlier requests are still queued ahead
+        of it (the cluster queue is FIFO).
+        """
+        replica = self._choose(req) if not self._pending else None
+        if replica is None:
+            self._router_events.append(TraceEvent(
+                f"req{req.request_id}/queue", now, 0.0, "queue", "io"))
+            self._pending.append(req)
+            self._sample_queue(now)
+            return True
+        self._dispatch(req, replica, now)
+        return False
+
+    # -- faults and failover --------------------------------------------
+    def _apply_fault(self, event: FaultEvent) -> None:
         """Take one sampled fault into effect at its victim."""
         self._fault_events.append(event.to_dict())
         if event.kind == "failure":
+            fo = self.config.failover
             replica = self.replicas[event.component]
             if not replica.alive:
                 return  # struck an already-down replica: absorbed
@@ -1088,7 +1018,7 @@ class ClusterSimulator:
             while replica.alive and replica.busy \
                     and replica.clock < event.time_s:
                 replica.step()
-                self._collect_outbox(replica, fo)
+                self._collect_outbox(replica)
                 self._dispatch_pending()
             replica.kill(event.time_s)
             heapq.heappush(self._detections,
@@ -1124,7 +1054,7 @@ class ClusterSimulator:
                                      event.window_s)
 
     def _fail_over(self, req: Request, now: float,
-                   fo: FailoverConfig, stage: str = "queued") -> None:
+                   stage: str = "queued") -> None:
         """Re-queue a killed request with backoff, or abandon it.
 
         An expired deadline short-circuits the retry: there is no point
@@ -1136,7 +1066,7 @@ class ClusterSimulator:
                 and now > req.deadline_s:
             self._timeout_router(req, now, stage)
             return
-        retry = fo.retry
+        retry = self.config.failover.retry
         if req.retries >= retry.max_retries:
             self._failed.append(FailedRequest(
                 request_id=req.request_id, arrival=req.arrival_time,
