@@ -416,6 +416,7 @@ class ClusterSimulator:
         self._router_events: list[TraceEvent] = []
         self.assignments: dict[int, tuple[int, int]] = {}
         self._pending: list[Request] = []
+        self._ran = False                 # run() is single-use
         # -- disaggregation state (all inert for colocated layouts) -----
         self.transfer_model = KVTransferModel(
             model_config, self.config.transfer,
@@ -824,14 +825,22 @@ class ClusterSimulator:
 
     # ------------------------------------------------------------------
     def run(self, requests: list[Request]) -> ClusterResult:
-        """Serve the workload to completion across all nodes."""
+        """Serve the workload to completion across all nodes.
+
+        A simulator serves one run: its replicas keep their records,
+        clocks and pools, and the router its queues, so a second call
+        raises instead of mixing two runs' accounting.
+        """
+        if self._ran:
+            raise RuntimeError(
+                "this ClusterSimulator has already served a run; build "
+                "a new ClusterSimulator for each run")
         if not requests:
             raise ValueError("no requests to serve")
         self.replicas[0].validate(requests)
+        self._ran = True
         arrivals = sorted(requests, key=lambda r: (r.arrival_time,
                                                    r.request_id))
-        self.assignments: dict[int, tuple[int, int]] = {}
-        self._pending: list[Request] = []
         self._has_deadlines = any(r.deadline_s is not None
                                   for r in arrivals)
         for replica in self.replicas:

@@ -156,6 +156,15 @@ class TestClusterRun:
                          n=200, skew=0.15, rate=800.0)
         assert lo.percentiles("ttft")[99.0] <= rr.percentiles("ttft")[99.0]
 
+    def test_simulator_serves_one_run(self, config):
+        sim = ClusterSimulator(config, ClusterConfig(num_nodes=2))
+        first = sim.run(make_workload(config))
+        assert first.metrics.num_requests == 40
+        with pytest.raises(RuntimeError, match="new ClusterSimulator"):
+            sim.run(make_workload(config))
+        # The refused call leaves the first run's state alone.
+        assert sum(len(r.records) for r in sim.replicas) == 40
+
     def test_format_cluster_table(self, config):
         results = [run_cluster(config, policy=p, n=16)
                    for p in LB_POLICIES]
