@@ -10,6 +10,12 @@ it.  ``python -m repro perf-bench`` drives it and writes
 NumPy versions, the BLAS thread variables, CPU count): wall times are
 only comparable between like environments.
 
+Every row times its two sides in alternating rounds, each side on fresh
+state (caches, pool, draft) every round, and reports the median seconds
+of each side plus the median of the per-round ratios.  A slow moment of
+a shared host lands on one round of both sides instead of on one side's
+best case, so the ratios the ratchet compares hold still between runs.
+
 Two comparisons:
 
 decode
@@ -38,8 +44,10 @@ speculative (``--spec-decode``)
 
 from __future__ import annotations
 
+import math
 import os
 import platform
+import statistics
 import time
 
 import numpy as np
@@ -51,11 +59,36 @@ from .models.speculative import (DRAFT_SOURCES, NGramDraft, ModelDraft,
 
 __all__ = ["bench_decode", "bench_prefill", "bench_spec_decode",
            "run_spec_bench", "run_perf_bench",
-           "format_perf_bench", "compare_perf_baseline"]
+           "format_perf_bench", "compare_perf_baseline",
+           "baseline_coverage"]
 
 #: BLAS/OpenMP thread-count variables; wall times are only comparable
 #: between runs that pin them alike.
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _alternate(rounds: int, *sides):
+    """Run each side once per round, in turn, for ``rounds`` rounds.
+
+    A side is a callable that sets up fresh state, times its own work and
+    returns ``(seconds, output)``.  Returns each side's per-round seconds
+    and each side's last output.
+    """
+    if rounds < 1:
+        raise ValueError(f"repeats must be >= 1: {rounds}")
+    times = [[] for _ in sides]
+    outputs = [None] * len(sides)
+    for _ in range(rounds):
+        for i, side in enumerate(sides):
+            seconds, outputs[i] = side()
+            times[i].append(seconds)
+    return times, outputs
+
+
+def _median_ratio(num: list[float], den: list[float]) -> float:
+    """Median over rounds of ``num / den`` (inf for a zero denominator)."""
+    return statistics.median(n / d if d > 0 else math.inf
+                             for n, d in zip(num, den))
 
 
 def _make_prompts(model, batch_size: int, prompt_len: int,
@@ -68,19 +101,19 @@ def _make_prompts(model, batch_size: int, prompt_len: int,
 
 def bench_decode(model: GPTModel, batch_size: int, prompt_len: int = 32,
                  new_tokens: int = 16, seed: int = 0,
-                 repeats: int = 1) -> dict:
+                 repeats: int = 7) -> dict:
     """Time sequential vs batched greedy decode of one batch.
 
     Prefill is excluded from both timings — the comparison is the decode
     inner loop, which is where the engine spends its steps.  Returns the
-    best-of-``repeats`` wall times plus a token-equality check.
+    median wall time of each side over ``repeats`` interleaved rounds,
+    the median per-round speedup, and a token-equality check.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     prompts = _make_prompts(model, batch_size, prompt_len, seed)
 
-    seq_best, seq_tokens = np.inf, None
-    for _ in range(repeats):
+    def sequential():
         caches_list, last = [], []
         for prompt in prompts:
             caches = [KVCache() for _ in model.layers]
@@ -94,11 +127,9 @@ def bench_decode(model: GPTModel, batch_size: int, prompt_len: int = 32,
                 step = np.array([tokens[i][-1]], dtype=np.int64)
                 logits = model._forward_cached(step[None], caches_list[i])
                 tokens[i].append(int(logits.data[0, -1].argmax()))
-        seq_best = min(seq_best, time.perf_counter() - t0)
-        seq_tokens = tokens
+        return time.perf_counter() - t0, tokens
 
-    bat_best, bat_tokens = np.inf, None
-    for _ in range(repeats):
+    def batched():
         pool = PackedKVPool.for_model(model.config, num_slots=batch_size,
                                       block_tokens=max(16, prompt_len))
         slots, last = [], []
@@ -116,39 +147,42 @@ def bench_decode(model: GPTModel, batch_size: int, prompt_len: int = 32,
                 pool, slots)
             for i in range(batch_size):
                 tokens[i].append(int(logits[i].argmax()))
-        bat_best = min(bat_best, time.perf_counter() - t0)
-        bat_tokens = tokens
+        return time.perf_counter() - t0, tokens
 
+    (seq_s, bat_s), (seq_tokens, bat_tokens) = _alternate(
+        repeats, sequential, batched)
     return {
         "batch_size": batch_size,
         "prompt_len": prompt_len,
         "new_tokens": new_tokens,
-        "sequential_s": seq_best,
-        "batched_s": bat_best,
-        "speedup": seq_best / bat_best if bat_best > 0 else np.inf,
+        "sequential_s": statistics.median(seq_s),
+        "batched_s": statistics.median(bat_s),
+        "speedup": _median_ratio(seq_s, bat_s),
         "tokens_match": seq_tokens == bat_tokens,
     }
 
 
 def bench_prefill(model: GPTModel, prompt_len: int = 48,
                   chunk_tokens: int = 16, seed: int = 0,
-                  repeats: int = 1) -> dict:
-    """Time monolithic vs chunked prefill of one long prompt."""
+                  repeats: int = 7) -> dict:
+    """Time monolithic vs chunked prefill of one long prompt.
+
+    Medians over ``repeats`` interleaved rounds, as in
+    :func:`bench_decode`; ``overhead_ratio`` is the median per-round
+    chunked / monolithic ratio.
+    """
     if chunk_tokens < 1:
         raise ValueError("chunk_tokens must be >= 1")
     prompt = _make_prompts(model, 1, prompt_len, seed)[0]
 
-    mono_best, mono_token = np.inf, None
-    for _ in range(repeats):
+    def monolithic():
         caches = [KVCache() for _ in model.layers]
         t0 = time.perf_counter()
         logits = model._forward_cached(prompt[None], caches)
-        mono_best = min(mono_best, time.perf_counter() - t0)
-        mono_token = int(logits.data[0, -1].argmax())
+        return (time.perf_counter() - t0,
+                int(logits.data[0, -1].argmax()))
 
-    chunk_best, chunk_token = np.inf, None
-    num_chunks = 0
-    for _ in range(repeats):
+    def chunked():
         caches = [KVCache() for _ in model.layers]
         t0 = time.perf_counter()
         pos, num_chunks = 0, 0
@@ -157,17 +191,18 @@ def bench_prefill(model: GPTModel, prompt_len: int = 48,
             logits = model._forward_cached(step[None], caches)
             pos += step.size
             num_chunks += 1
-        chunk_best = min(chunk_best, time.perf_counter() - t0)
-        chunk_token = int(logits.data[0, -1].argmax())
+        return (time.perf_counter() - t0,
+                (int(logits.data[0, -1].argmax()), num_chunks))
 
+    (mono_s, chunk_s), (mono_token, (chunk_token, num_chunks)) = \
+        _alternate(repeats, monolithic, chunked)
     return {
         "prompt_len": prompt_len,
         "chunk_tokens": chunk_tokens,
         "num_chunks": num_chunks,
-        "monolithic_s": mono_best,
-        "chunked_s": chunk_best,
-        "overhead_ratio": chunk_best / mono_best if mono_best > 0
-        else np.inf,
+        "monolithic_s": statistics.median(mono_s),
+        "chunked_s": statistics.median(chunk_s),
+        "overhead_ratio": _median_ratio(chunk_s, mono_s),
         "tokens_match": mono_token == chunk_token,
     }
 
@@ -191,13 +226,14 @@ def _patterned_prompts(model, batch_size: int, prompt_len: int,
 def bench_spec_decode(model: GPTModel, draft: str = "ngram", k: int = 4,
                       temperature: float = 0.0, batch_size: int = 4,
                       prompt_len: int = 24, new_tokens: int = 20,
-                      seed: int = 0, repeats: int = 1,
+                      seed: int = 0, repeats: int = 7,
                       draft_layers: int = 1) -> dict:
     """Time plain batched decode vs speculative decode of one batch.
 
     Both paths prefill identically (untimed) and then generate at least
     ``new_tokens`` per request; outputs are trimmed to ``new_tokens``
-    before the greedy equality check.  ``tokens_match`` is ``None`` for
+    before the greedy equality check.  Timings are medians over
+    ``repeats`` interleaved rounds, as in :func:`bench_decode`.  ``tokens_match`` is ``None`` for
     sampled rows — rejection sampling consumes a different rng stream
     than plain sampling, so per-token equality is not defined there (the
     distributions match instead; see ``tests/test_speculative.py``).
@@ -226,8 +262,7 @@ def bench_spec_decode(model: GPTModel, draft: str = "ngram", k: int = 4,
             last.append(int(logits.data[0, -1].argmax()))
         return slots, last
 
-    plain_best, plain_tokens = np.inf, None
-    for _ in range(repeats):
+    def plain():
         pool = PackedKVPool.for_model(cfg, num_slots=batch_size,
                                       block_tokens=max(16, prompt_len))
         slots, last = prefill(pool)
@@ -242,12 +277,9 @@ def bench_spec_decode(model: GPTModel, draft: str = "ngram", k: int = 4,
             for i in range(batch_size):
                 tokens[i].append(int(sample_token(logits[i], params[i],
                                                   rngs[i])))
-        plain_best = min(plain_best, time.perf_counter() - t0)
-        plain_tokens = [t[:new_tokens] for t in tokens]
+        return time.perf_counter() - t0, [t[:new_tokens] for t in tokens]
 
-    spec_best, spec_tokens = np.inf, None
-    accepted = proposed = 0
-    for _ in range(repeats):
+    def speculative():
         pool = PackedKVPool.for_model(cfg, num_slots=batch_size,
                                       block_tokens=max(16, prompt_len))
         slots, last = prefill(pool)
@@ -286,9 +318,11 @@ def bench_spec_decode(model: GPTModel, draft: str = "ngram", k: int = 4,
                 tokens[i].extend(emitted)
                 accepted += acc
                 proposed += k
-        spec_best = min(spec_best, time.perf_counter() - t0)
-        spec_tokens = [t[:new_tokens] for t in tokens]
+        return (time.perf_counter() - t0,
+                ([t[:new_tokens] for t in tokens], accepted, proposed))
 
+    (plain_s, spec_s), (plain_tokens, (spec_tokens, accepted, proposed)) = \
+        _alternate(repeats, plain, speculative)
     return {
         "draft": draft,
         "k": k,
@@ -296,9 +330,9 @@ def bench_spec_decode(model: GPTModel, draft: str = "ngram", k: int = 4,
         "batch_size": batch_size,
         "prompt_len": prompt_len,
         "new_tokens": new_tokens,
-        "plain_s": plain_best,
-        "spec_s": spec_best,
-        "speedup": plain_best / spec_best if spec_best > 0 else np.inf,
+        "plain_s": statistics.median(plain_s),
+        "spec_s": statistics.median(spec_s),
+        "speedup": _median_ratio(plain_s, spec_s),
         "acceptance_rate": accepted / proposed if proposed else 0.0,
         "tokens_match": (plain_tokens == spec_tokens
                          if temperature == 0.0 else None),
@@ -311,7 +345,7 @@ def run_spec_bench(model_name: str = "tiny-llama",
                    temperatures: tuple[float, ...] = (0.0, 0.8),
                    batch_size: int = 4, prompt_len: int = 24,
                    new_tokens: int = 20, seed: int = 0,
-                   repeats: int = 3) -> list[dict]:
+                   repeats: int = 7) -> list[dict]:
     """The acceptance-rate vs speedup sweep: draft × k × temperature."""
     model = GPTModel(preset(model_name), seed=seed)
     return [bench_spec_decode(model, draft=draft, k=k,
@@ -333,7 +367,7 @@ def run_perf_bench(model_name: str = "tiny-llama",
                    batch_sizes: tuple[int, ...] = (1, 2, 4, 8),
                    prompt_len: int = 32, new_tokens: int = 16,
                    chunk_tokens: int = 16, prefill_len: int = 48,
-                   seed: int = 0, repeats: int = 3,
+                   seed: int = 0, repeats: int = 7,
                    spec_decode: bool = False,
                    spec_drafts: tuple[str, ...] = ("ngram", "model"),
                    spec_ks: tuple[int, ...] = (2, 4, 8),
@@ -364,24 +398,54 @@ def run_perf_bench(model_name: str = "tiny-llama",
     return results
 
 
+def _decode_key(row: dict) -> tuple:
+    """A decode row's sweep point: speedups differ between shapes."""
+    return row["batch_size"], row["prompt_len"], row["new_tokens"]
+
+
+def _spec_key(row: dict) -> tuple:
+    """A speculative row's sweep point."""
+    return row["draft"], row["k"], row["temperature"], row["new_tokens"]
+
+
+def baseline_coverage(results: dict, baseline: dict) -> dict[str, int]:
+    """How many rows of each kind :func:`compare_perf_baseline` compares.
+
+    A run whose rows all miss the baseline's sweep points passes the
+    ratchet without being checked; callers gate on these counts.
+    """
+    base_decode = {_decode_key(row) for row in baseline.get("decode", [])}
+    base_spec = {_spec_key(row) for row in baseline.get("speculative", [])}
+    return {
+        "decode": sum(_decode_key(row) in base_decode
+                      for row in results.get("decode", [])),
+        "prefill": int(bool(results.get("prefill")
+                            and baseline.get("prefill"))),
+        "speculative": sum(_spec_key(row) in base_spec
+                           for row in results.get("speculative", [])),
+    }
+
+
 def compare_perf_baseline(results: dict, baseline: dict,
                           threshold: float = 0.25) -> list[str]:
     """Ratchet check of a perf-bench run against a committed baseline.
 
     Returns human-readable regression descriptions (empty = pass).  A
-    decode batch size regresses when its speedup falls more than
-    ``threshold`` below the baseline's; the prefill comparison regresses
-    when its chunking overhead_ratio grows more than ``threshold`` above
-    the baseline's.  Only batch sizes present in both runs are compared,
-    so the sweep can grow without invalidating an old baseline.
+    decode row regresses when its speedup falls more than ``threshold``
+    below the baseline's row of the same batch size, prompt length and
+    token count; the prefill comparison regresses when its chunking
+    overhead_ratio grows more than ``threshold`` above the baseline's.
+    Only sweep points present in both runs are compared, so the sweep
+    can grow without invalidating an old baseline
+    (:func:`baseline_coverage` counts them).
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1): {threshold}")
     problems: list[str] = []
-    base_rows = {row["batch_size"]: row
+    base_rows = {_decode_key(row): row
                  for row in baseline.get("decode", [])}
     for row in results.get("decode", []):
-        base = base_rows.get(row["batch_size"])
+        base = base_rows.get(_decode_key(row))
         if base is None:
             continue
         floor = (1.0 - threshold) * base["speedup"]
@@ -401,9 +465,7 @@ def compare_perf_baseline(results: dict, baseline: dict,
                 f"{base_prefill['overhead_ratio']:.2f}x + {threshold:.0%})")
     # Speculative rows ratchet like decode rows, keyed by the sweep
     # point; greedy token equality is a hard invariant, not a ratchet.
-    spec_key = lambda row: (row["draft"], row["k"], row["temperature"],
-                            row["new_tokens"])
-    base_spec = {spec_key(row): row
+    base_spec = {_spec_key(row): row
                  for row in baseline.get("speculative", [])}
     for row in results.get("speculative", []):
         label = (f"spec {row['draft']} k={row['k']} "
@@ -412,7 +474,7 @@ def compare_perf_baseline(results: dict, baseline: dict,
             problems.append(
                 f"{label}: greedy speculative tokens diverged from "
                 f"plain decode")
-        base = base_spec.get(spec_key(row))
+        base = base_spec.get(_spec_key(row))
         if base is None:
             continue
         floor = (1.0 - threshold) * base["speedup"]
@@ -427,7 +489,7 @@ def compare_perf_baseline(results: dict, baseline: dict,
 def format_perf_bench(results: dict) -> str:
     """Aligned text rendering of a :func:`run_perf_bench` result."""
     lines = [f"perf-bench — {results['model']} "
-             f"(best of {results['repeats']})"]
+             f"(median of {results['repeats']} interleaved rounds)"]
     header = ["batch", "sequential", "batched", "speedup", "tokens"]
     rows = []
     for row in results["decode"]:

@@ -988,9 +988,14 @@ def _fault_bench_serving(args) -> tuple[list[dict], int]:
     return rows, 0
 
 
+#: Interleaved timing rounds under ``perf-bench --smoke``: fewer than the
+#: default, still enough for a stable median.
+_SMOKE_ROUNDS = 5
+
+
 def _cmd_perf_bench(args: argparse.Namespace) -> int:
-    from .bench import (compare_perf_baseline, format_perf_bench,
-                        run_perf_bench)
+    from .bench import (baseline_coverage, compare_perf_baseline,
+                        format_perf_bench, run_perf_bench)
     try:
         batch_sizes = tuple(int(b) for b in args.batch_sizes.split(",")
                             if b.strip())
@@ -1003,20 +1008,20 @@ def _cmd_perf_bench(args: argparse.Namespace) -> int:
                            if t.strip())
         spec_drafts = tuple(d.strip() for d in args.spec_drafts.split(",")
                             if d.strip())
-        new_tokens, repeats, spec_tokens = (args.tokens, args.repeats,
-                                            args.spec_tokens)
+        repeats = args.repeats
         if args.smoke:
+            # Trim sweep points and rounds only: a row's token counts are
+            # part of its key, and the baseline holds full-size rows.
             batch_sizes = tuple(b for b in batch_sizes if b <= 8) or (1, 8)
-            new_tokens, repeats = min(new_tokens, 8), 1
             spec_ks = tuple(k for k in spec_ks if k <= 4) or (4,)
-            spec_tokens = min(spec_tokens, 12)
+            repeats = _SMOKE_ROUNDS
         results = run_perf_bench(
             args.model, batch_sizes=batch_sizes, prompt_len=args.prompt,
-            new_tokens=new_tokens, chunk_tokens=args.chunk,
+            new_tokens=args.tokens, chunk_tokens=args.chunk,
             prefill_len=args.prefill_len, seed=args.seed, repeats=repeats,
             spec_decode=args.spec_decode, spec_drafts=spec_drafts,
             spec_ks=spec_ks, spec_temperatures=spec_temps,
-            spec_tokens=spec_tokens)
+            spec_tokens=args.spec_tokens)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1041,9 +1046,20 @@ def _cmd_perf_bench(args: argparse.Namespace) -> int:
             baseline = json.loads(Path(args.baseline).read_text())
             problems = compare_perf_baseline(
                 results, baseline, threshold=args.regression_threshold)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            compared = baseline_coverage(results, baseline)
+        except (OSError, ValueError, KeyError) as exc:
+            print(f"error: cannot use baseline {args.baseline}: {exc!r}",
+                  file=sys.stderr)
             return 2
+        print(f"\ncompared with baseline {args.baseline}: "
+              + ", ".join(f"{n} {kind} row(s)"
+                          for kind, n in compared.items()))
+        # A run none of whose rows of a kind match the baseline's sweep
+        # points would pass without being checked at all.
+        problems += [f"{kind}: no row matches a baseline sweep point, "
+                     f"so none was checked"
+                     for kind in ("decode", "speculative")
+                     if results.get(kind) and not compared[kind]]
         if problems:
             print(f"\nperf regression vs baseline {args.baseline}:")
             for problem in problems:
@@ -1337,7 +1353,7 @@ def build_parser() -> argparse.ArgumentParser:
             _model_parent("tiny-llama",
                           "model preset to run (default: tiny-llama)"),
             _artifact_parent(smoke="tiny sweep for CI (batch <= 8, "
-                                   "<= 8 tokens, 1 repeat)"),
+                                   "k <= 4, 5 rounds)"),
         ],
         help="wall-clock benchmark: sequential vs batched decode, "
              "chunked vs monolithic prefill")
@@ -1351,8 +1367,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prompt length for the prefill comparison")
     p.add_argument("--chunk", type=int, default=16,
                    help="chunk size for the chunked-prefill comparison")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="timing repeats; best-of is reported (default: 3)")
+    p.add_argument("--repeats", type=int, default=7,
+                   help="timing rounds; each row alternates its two sides "
+                        "once per round and reports medians (default: 7)")
     p.add_argument("--spec-decode", action="store_true",
                    help="also sweep speculative decoding (draft x k x "
                         "temperature acceptance/speedup curves)")

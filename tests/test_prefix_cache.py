@@ -2,13 +2,15 @@
 packed KV pool, session-aware workloads, eviction-vs-preemption rules,
 cache-on/off output parity, and the perf-bench ratchet."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import lint_source, resolve_rules
-from repro.bench import compare_perf_baseline
+from repro.bench import baseline_coverage, compare_perf_baseline
 from repro.cli import main
 from repro.models import GPTModel, PackedKVPool, preset
 from repro.serving import (CacheStats, ClusterConfig, ClusterSimulator,
@@ -463,7 +465,8 @@ class TestClusterIntegration:
 class TestPerfRatchet:
     def base(self, speedups=(1.0, 2.0), overhead=1.5):
         return {
-            "decode": [{"batch_size": b, "speedup": s}
+            "decode": [{"batch_size": b, "prompt_len": 32, "new_tokens": 16,
+                        "speedup": s}
                        for b, s in zip((1, 8), speedups)],
             "prefill": {"overhead_ratio": overhead},
         }
@@ -491,9 +494,22 @@ class TestPerfRatchet:
                                      self.base()) == []
 
     def test_unknown_batch_sizes_ignored(self):
-        results = {"decode": [{"batch_size": 32, "speedup": 0.1}],
+        results = {"decode": [{"batch_size": 32, "prompt_len": 32,
+                               "new_tokens": 16, "speedup": 0.1}],
                    "prefill": {"overhead_ratio": 1.5}}
         assert compare_perf_baseline(results, self.base()) == []
+        assert baseline_coverage(results, self.base()) == \
+            {"decode": 0, "prefill": 1, "speculative": 0}
+
+    def test_decode_rows_are_keyed_by_shape(self):
+        """A speedup measured over fewer tokens is not compared with a
+        full-length one."""
+        results = self.base(speedups=(0.1, 0.1))
+        for row in results["decode"]:
+            row["new_tokens"] = 8
+        assert compare_perf_baseline(results, self.base()) == []
+        assert baseline_coverage(results, self.base())["decode"] == 0
+        assert baseline_coverage(self.base(), self.base())["decode"] == 2
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError, match="threshold"):
@@ -542,7 +558,8 @@ class TestCli:
     def test_perf_bench_baseline_regression_exits_nonzero(
             self, tmp_path, capsys):
         import json
-        absurd = {"decode": [{"batch_size": b, "speedup": 1000.0}
+        absurd = {"decode": [{"batch_size": b, "prompt_len": 32,
+                              "new_tokens": 16, "speedup": 1000.0}
                              for b in (1, 2, 4, 8)],
                   "prefill": {"overhead_ratio": 1e-6}}
         path = tmp_path / "base.json"
@@ -554,3 +571,64 @@ class TestCli:
     def test_perf_bench_baseline_missing_file_errors(self, tmp_path):
         assert main(["perf-bench", "--smoke", "--output", "",
                      "--baseline", str(tmp_path / "nope.json")]) == 2
+
+    @staticmethod
+    def fake_benches(monkeypatch, spec_speedup):
+        """Swap the timed benches for ones that echo the requested sweep
+        point with fixed ratios, so the ratchet logic runs untimed."""
+        import repro.bench as bench
+
+        def decode(model, batch_size, prompt_len, new_tokens, **_):
+            return {"batch_size": batch_size, "prompt_len": prompt_len,
+                    "new_tokens": new_tokens, "sequential_s": 1.0,
+                    "batched_s": 0.001, "speedup": 1000.0,
+                    "tokens_match": True}
+
+        def prefill(model, prompt_len, chunk_tokens, **_):
+            return {"prompt_len": prompt_len, "chunk_tokens": chunk_tokens,
+                    "num_chunks": 3, "monolithic_s": 1.0, "chunked_s": 1.0,
+                    "overhead_ratio": 1e-6, "tokens_match": True}
+
+        def spec(model, draft, k, temperature, batch_size, prompt_len,
+                 new_tokens, **_):
+            return {"draft": draft, "k": k, "temperature": temperature,
+                    "batch_size": batch_size, "prompt_len": prompt_len,
+                    "new_tokens": new_tokens, "plain_s": spec_speedup,
+                    "spec_s": 1.0, "speedup": spec_speedup,
+                    "acceptance_rate": 0.5,
+                    "tokens_match": True if temperature == 0 else None}
+
+        monkeypatch.setattr(bench, "bench_decode", decode)
+        monkeypatch.setattr(bench, "bench_prefill", prefill)
+        monkeypatch.setattr(bench, "bench_spec_decode", spec)
+
+    def test_smoke_ratchet_sees_speculative_rows(self, monkeypatch,
+                                                 capsys):
+        """The CI smoke run must compare its speculative rows with the
+        committed baseline: a 100x slowdown cannot pass."""
+        baseline = str(Path(__file__).resolve().parent.parent
+                       / "BENCH_decode.json")
+        self.fake_benches(monkeypatch, spec_speedup=0.01)
+        assert main(["perf-bench", "--smoke", "--spec-decode",
+                     "--output", "", "--baseline", baseline]) == 1
+        out = capsys.readouterr().out
+        assert "perf regression" in out
+        assert "spec ngram k=2 T=0: speedup 0.01x" in out
+        assert "4 decode row(s)" in out and "8 speculative row(s)" in out
+        self.fake_benches(monkeypatch, spec_speedup=1000.0)
+        assert main(["perf-bench", "--smoke", "--spec-decode",
+                     "--output", "", "--baseline", baseline]) == 0
+
+    def test_uncompared_kind_fails_the_ratchet(self, tmp_path, monkeypatch,
+                                               capsys):
+        import json
+        self.fake_benches(monkeypatch, spec_speedup=1.0)
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps({
+            "decode": [{"batch_size": 1, "prompt_len": 32,
+                        "new_tokens": 99, "speedup": 1.0}]}))
+        assert main(["perf-bench", "--smoke", "--output", "",
+                     "--baseline", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "0 decode row(s)" in out
+        assert "decode: no row matches a baseline sweep point" in out
