@@ -95,13 +95,6 @@ class FaultConfig:
                              f"{self.link_window_s}")
 
     @property
-    def fault_free(self) -> bool:
-        """True when every process is disabled (the exact no-op path)."""
-        return (math.isinf(self.mtbf_hours)
-                and math.isinf(self.straggler_mtbe_hours)
-                and math.isinf(self.link_mtbe_hours))
-
-    @property
     def mtbf_s(self) -> float:
         return self.mtbf_hours * _SECONDS_PER_HOUR
 
@@ -212,10 +205,6 @@ class FaultModel:
                     window_s=config.link_window_s,
                     factor=config.link_degrade_factor)),
         ]
-
-    @property
-    def fault_free(self) -> bool:
-        return self.config.fault_free
 
     @property
     def system_mtbf_s(self) -> float:

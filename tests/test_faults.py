@@ -71,7 +71,6 @@ class TestFaultModel:
 
     def test_fault_free_is_empty(self):
         model = FaultModel(FaultConfig(), 8)
-        assert model.fault_free
         assert model.peek_time() == math.inf
         assert model.schedule(1e9) == []
 
