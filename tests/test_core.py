@@ -168,7 +168,10 @@ class TestReporting:
 
 
 class TestStudyPipelineStages:
-    """Cheap per-stage checks; the full pipeline runs in the benchmarks."""
+    """Cheap per-stage checks of `ComparativeStudy` at a reduced scale.
+
+    `run()` chains these stages; `repro study` drives it end to end.
+    """
 
     @pytest.fixture(scope="class")
     def study(self):
@@ -176,23 +179,29 @@ class TestStudyPipelineStages:
             train_steps=8, eval_questions=6, n_materials=60, gnn_epochs=10,
             corpus_scale=1e-5))
 
-    def test_corpus_stage(self, study):
-        corpus, reports = study.build_corpus()
+    @pytest.fixture(scope="class")
+    def corpus_stage(self, study):
+        return study.build_corpus()
+
+    @pytest.fixture(scope="class")
+    def toks(self, study, corpus_stage):
+        return study.train_tokenizers(corpus_stage[0])
+
+    def test_corpus_stage(self, corpus_stage):
+        corpus, reports = corpus_stage
         assert corpus
         assert {r.source for r in reports} == {"CORE", "MAG", "Aminer",
                                                "SCOPUS"}
         assert all(r.precision > 0.8 for r in reports)
 
-    def test_tokenizer_stage(self, study):
-        corpus, _ = study.build_corpus()
-        toks = study.train_tokenizers(corpus)
+    def test_tokenizer_stage(self, corpus_stage, toks):
+        corpus, _ = corpus_stage
         assert set(toks) == {"hf", "spm"}
         text = corpus[0].text[:40]
         assert toks["hf"].decode(toks["hf"].encode(text)) == text
 
-    def test_pretrain_and_eval_stages(self, study):
-        corpus, _ = study.build_corpus()
-        toks = study.train_tokenizers(corpus)
+    def test_pretrain_and_eval_stages(self, study, corpus_stage, toks):
+        corpus, _ = corpus_stage
         models, histories = study.pretrain(corpus, toks)
         assert set(models) == {"neox", "llama"}
         for h in histories.values():
