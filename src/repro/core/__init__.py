@@ -4,7 +4,7 @@ from .architecture_search import (FIG4_GRID, GridCell, HeatmapResult,
                                   flash_boost_table, run_grid_search)
 from .evolution import (BRANCHES, MAJOR_RELEASES, ModelRelease,
                         dominant_branch, releases_per_year)
-from .experiments import (EXPERIMENTS, ExperimentContext,
+from .experiments import (EXPERIMENTS, Claim, ExperimentContext,
                           ExperimentResult, ExperimentSpec,
                           list_experiments, reproduce, reproduce_all)
 from .guidance import LayoutRecommendation, best_layout, recommend_layouts
@@ -26,7 +26,7 @@ __all__ = [
     "format_bars", "format_heatmap", "format_series", "format_table",
     "ComparativeStudy", "StudyConfig", "StudyResults",
     "LayoutRecommendation", "best_layout", "recommend_layouts",
-    "EXPERIMENTS", "ExperimentContext", "ExperimentResult",
+    "EXPERIMENTS", "Claim", "ExperimentContext", "ExperimentResult",
     "ExperimentSpec", "list_experiments", "reproduce", "reproduce_all",
     "build_report", "write_report", "TrainingPlan", "plan_run",
     "tokens_to_reach_loss",

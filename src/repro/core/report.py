@@ -1,8 +1,9 @@
 """Reproduction-report generation.
 
-``write_report`` regenerates the (light) experiment set plus the
-self-contained Observations and renders one self-describing markdown
-document — the artifact a reviewer would ask for.  Exposed on the CLI as
+``build_report`` renders the paper's Observations, then one table per
+registered artifact listing each claim with its reproduced value, the
+paper's value and the verdict.  It covers the light entries, and
+``include_heavy`` adds the training-backed ones.  Exposed on the CLI as
 ``python -m repro report``.
 """
 
@@ -10,107 +11,57 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
-from .experiments import ExperimentContext, reproduce
+from .experiments import ExperimentContext, reproduce_all
 from .observations import check_all
 
 __all__ = ["build_report", "write_report"]
 
 
-def _md_table(headers: list[str], rows: list[list]) -> str:
-    def fmt(v):
-        if isinstance(v, (float, np.floating)):
-            return f"{v:.3f}"
-        return str(v)
+def _fmt(value) -> str:
+    if value is None:
+        return "—"
+    if isinstance(value, tuple):
+        return " / ".join(_fmt(v) for v in value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return str(value)
+    if isinstance(value, int):
+        return f"{value:,}" if abs(value) >= 10_000 else str(value)
+    return f"{value:.4g}"
 
+
+def _md_table(headers: list[str], rows: list[list[str]]) -> str:
     out = ["| " + " | ".join(headers) + " |",
            "|" + "|".join("---" for _ in headers) + "|"]
-    for row in rows:
-        out.append("| " + " | ".join(fmt(v) for v in row) + " |")
+    out += ["| " + " | ".join(row) + " |" for row in rows]
     return "\n".join(out)
+
+
+def _verdict(holds: bool) -> str:
+    return "HOLDS" if holds else "VIOLATED"
 
 
 def build_report(context: ExperimentContext | None = None,
                  include_heavy: bool = False) -> str:
     """Render the reproduction report as markdown text."""
-    ctx = context or ExperimentContext()
     lines: list[str] = [
         "# Reproduction report",
         "",
         "Auto-generated by `python -m repro report` from the experiment",
         "registry; every number below is deterministic in the seed.",
+        "Training-backed entries appear with `--heavy`.",
         "",
         "## Observations",
         "",
+        _md_table(["#", "statement", "verdict"],
+                  [[str(c.number), c.statement, _verdict(c.holds)]
+                   for c in check_all()]),
     ]
-    checks = check_all()
-    lines.append(_md_table(
-        ["#", "statement", "verdict"],
-        [[c.number, c.statement, "HOLDS" if c.holds else "VIOLATED"]
-         for c in checks]))
-
-    lines += ["", "## Table IV — time and energy (simulated, 256 GPUs)", ""]
-    t4 = reproduce("table4", ctx).data["rows"]
-    lines.append(_md_table(
-        ["model", "hours", "MWh", "TFLOPS/W"],
-        [[r["model"], r["hours"], r["energy_mwh"], r["tflops_per_watt"]]
-         for r in t4]))
-
-    lines += ["", "## Fig 4 — architecture search", ""]
-    f4 = reproduce("fig4", ctx).data
-    lines.append(f"Best architecture: **{f4['best']['layers']} layers x "
-                 f"{f4['best']['hidden']} hidden** at "
-                 f"{f4['best']['tflops']:.1f} TFLOPS/GCD "
-                 f"(paper: 24 x 2304 at 76).")
-    boosts = f4["flash"]
-    v1 = float(np.mean([r["boost_v1"] for r in boosts]))
-    v2 = float(np.mean([r["boost_v2"] for r in boosts]))
-    lines.append(f"Mean flash boost: v1 {v1:+.1%}, v2 {v2:+.1%} "
-                 f"(paper: +14% / +19%).")
-
-    lines += ["", "## Fig 5 — memory vs context (1.7B)", ""]
-    f5 = reproduce("fig5", ctx).data
-    lines.append(_md_table(
-        ["seq", "no flash (%HBM)", "flash (%HBM)"],
-        [[r["seq"], f"{r['no_flash']:.0%}", f"{r['flash']:.0%}"]
-         for r in f5["rows"]]))
-    lines.append(f"\nMax context: {f5['max_seq_no_flash']} without flash, "
-                 f"{f5['max_seq_flash']} with (the paper's 4x).")
-
-    lines += ["", "## Fig 8 — weak scaling (TFLOPS/GCD)", ""]
-    f8 = reproduce("fig8", ctx).data
-    headers = ["GPUs"] + list(f8["sweeps"])
-    rows = []
-    for i, g in enumerate(f8["gpus"]):
-        rows.append([g] + [sweep[i]["tflops"]
-                           for sweep in f8["sweeps"].values()])
-    lines.append(_md_table(headers, rows))
-
-    lines += ["", "## Fig 11 — RCCL traffic per step per GPU", ""]
-    f11 = reproduce("fig11", ctx).data["rows"]
-    lines.append(_md_table(
-        ["run", "calls", "GB", "vs model size"],
-        [[r["run"], r["calls"], r["bytes"] / 1e9,
-          f"{r['vs_model_size']:.2f}x"] for r in f11]))
-
-    lines += ["", "## Fig 13 — final training losses (surrogate)", ""]
-    f13 = reproduce("fig13", ctx).data["finals"]
-    lines.append(_md_table(["recipe", "final loss"],
-                           [[k, v] for k, v in sorted(f13.items())]))
-
-    if include_heavy:
-        lines += ["", "## Table V — band-gap MAE", ""]
-        t5 = reproduce("table5", ctx).data["rows"]
-        lines.append(_md_table(["model", "test MAE"],
-                               [[r["model"], r["test_mae"]] for r in t5]))
-        lines += ["", "## Fig 14 — zero-shot accuracy (tiny scale)", ""]
-        f14 = reproduce("fig14", ctx).data
-        tasks = sorted(next(iter(f14.values())))
-        lines.append(_md_table(
-            ["task"] + list(f14),
-            [[t] + [f14[m][t] for m in f14] for t in tasks]))
-
+    results = reproduce_all(context, include_heavy=include_heavy)
+    for exp_id, result in results.items():
+        lines += ["", f"## `{exp_id}` — {result.title}", "",
+                  _md_table(["claim", "ours", "paper", "verdict"],
+                            [[c.name, _fmt(c.ours), _fmt(c.paper),
+                              _verdict(c.holds)] for c in result.claims])]
     lines.append("")
     return "\n".join(lines)
 

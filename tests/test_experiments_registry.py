@@ -12,6 +12,11 @@ def ctx():
     return ExperimentContext(train_steps=40)
 
 
+@pytest.fixture(scope="module")
+def light_results(ctx):
+    return reproduce_all(ctx)
+
+
 class TestRegistry:
     def test_all_paper_artifacts_registered(self):
         ids = set(EXPERIMENTS)
@@ -28,33 +33,21 @@ class TestRegistry:
         with pytest.raises(KeyError):
             reproduce("fig99")
 
-    def test_light_set_excludes_heavy(self, ctx):
-        results = reproduce_all(ctx)
-        assert "table5" not in results
-        assert "fig4" in results
-        assert len(results) == sum(not s.heavy for s in EXPERIMENTS.values())
+    def test_light_set_excludes_heavy(self, light_results):
+        assert "table5" not in light_results
+        assert "fig4" in light_results
+        assert len(light_results) == sum(not s.heavy
+                                         for s in EXPERIMENTS.values())
 
 
 class TestLightExperiments:
-    def test_table1_totals(self, ctx):
-        rows = reproduce("table1", ctx).data["rows"]
-        total = [r for r in rows if r["source"] == "All"][0]
-        assert total["abstracts"] == 2650
-
-    def test_table4_shape(self, ctx):
-        rows = reproduce("table4", ctx).data["rows"]
-        by = {r["model"]: r for r in rows}
-        assert by["6.7B"]["hours"] > 3 * by["1.7B"]["hours"]
-        assert by["1.7B"]["tflops_per_watt"] > by["6.7B"]["tflops_per_watt"]
-
-    def test_fig4_best_cell(self, ctx):
-        best = reproduce("fig4", ctx).data["best"]
-        assert (best["layers"], best["hidden"]) == (24, 2304)
-
-    def test_fig5_anchors(self, ctx):
-        data = reproduce("fig5", ctx).data
-        assert data["max_seq_no_flash"] == 8192
-        assert data["max_seq_flash"] == 32768
+    @pytest.mark.parametrize(
+        "exp_id", [i for i, s in EXPERIMENTS.items() if not s.heavy])
+    def test_claims_hold(self, light_results, exp_id):
+        result = light_results[exp_id]
+        assert result.claims
+        failed = [c.name for c in result.claims if not c.holds]
+        assert not failed, f"{exp_id} claims failed: {failed}"
 
     def test_fig8_sweeps_complete(self, ctx):
         data = reproduce("fig8", ctx).data
@@ -67,12 +60,6 @@ class TestLightExperiments:
         assert rows["dp"]["vs_model_size"] == pytest.approx(2.0, abs=0.05)
         assert rows["tp2"]["vs_model_size"] == pytest.approx(3.0, abs=0.3)
 
-    def test_fig13_orderings(self, ctx):
-        finals = reproduce("fig13", ctx).data["finals"]
-        lamb = finals["1.7B-llama-HF-52K-Lamb-4M"]
-        adam = finals["1.7B-llama-HF-52K-Adam-1M"]
-        assert lamb < adam
-
     def test_results_json_serializable(self, ctx):
         import json
         for exp_id in ("table2", "fig2", "fig6", "fig10"):
@@ -83,9 +70,9 @@ class TestHeavyExperiments:
     def test_fig14_uses_shared_trained_models(self, ctx):
         """Context caches one trained model per arch across experiments."""
         data = reproduce("fig14", ctx).data
-        assert set(data) == {"neox", "llama"}
-        for accs in data.values():
-            assert all(0 <= a <= 1 for a in accs.values())
+        assert {"neox", "llama", "llama-spm"} <= set(data)
+        for name in ("neox", "llama", "llama-spm"):
+            assert all(0 <= a <= 1 for a in data[name].values())
         # Cached: a second call reuses the trained model (fast).
         model_a = ctx.trained_model("llama")
         model_b = ctx.trained_model("llama")

@@ -3,40 +3,51 @@
 import numpy as np
 import pytest
 
-from repro.core import ExperimentContext, build_report, write_report
+from repro.core import EXPERIMENTS, write_report
 from repro.data import AbstractGenerator, load_corpus, save_corpus
 from repro.data.persistence import iter_corpus
 from repro.matsci import bootstrap_mae_ci
 
 
 @pytest.fixture(scope="module")
-def report_text():
-    return build_report(ExperimentContext())
+def report_path(tmp_path_factory):
+    return write_report(tmp_path_factory.mktemp("report") / "R.md")
+
+
+@pytest.fixture(scope="module")
+def report_text(report_path):
+    return report_path.read_text()
 
 
 class TestReport:
     def test_contains_all_sections(self, report_text):
-        for section in ("## Observations", "## Table IV", "## Fig 4",
-                        "## Fig 5", "## Fig 8", "## Fig 11", "## Fig 13"):
-            assert section in report_text
+        assert "## Observations" in report_text
+        for exp_id, spec in EXPERIMENTS.items():
+            assert (f"## `{exp_id}`" in report_text) != spec.heavy, exp_id
 
     def test_observations_hold_in_report(self, report_text):
-        assert report_text.count("HOLDS") >= 3
+        observations = report_text.split("## Observations")[1] \
+            .split("\n## ")[0]
+        rows = [line for line in observations.splitlines()
+                if line.startswith("| ") and not line.startswith("| #")]
+        assert len(rows) >= 3
+        assert all(row.endswith("| HOLDS |") for row in rows)
         assert "VIOLATED" not in report_text
 
     def test_anchor_values_present(self, report_text):
-        assert "24 layers x 2304 hidden" in report_text
-        assert "32768 with" in report_text  # Fig 5's 4x context
+        # Fig 4's best cell and Fig 5's 4x context, as the paper has them.
+        assert "| best cell (layers, hidden) | 24 / 2304 | 24 / 2304 |" \
+            in report_text
+        assert "| 8192 / 32,768 | 8192 / 32,768 | HOLDS |" in report_text
 
     def test_valid_markdown_tables(self, report_text):
         for line in report_text.splitlines():
             if line.startswith("|"):
                 assert line.endswith("|")
 
-    def test_write_report(self, tmp_path):
-        path = write_report(tmp_path / "R.md")
-        assert path.exists()
-        assert path.read_text().startswith("# Reproduction report")
+    def test_write_report(self, report_path):
+        assert report_path.exists()
+        assert report_path.read_text().startswith("# Reproduction report")
 
 
 class TestCorpusPersistence:
