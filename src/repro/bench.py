@@ -11,7 +11,7 @@ NumPy versions, the BLAS thread variables, CPU count): wall times are
 only comparable between like environments.
 
 Every row times its two sides in alternating rounds, each side on fresh
-state (caches, pool, draft) every round, and reports the median seconds
+state (caches, pool) every round, and reports the median seconds
 of each side plus the median of the per-round ratios.  A slow moment of
 a shared host lands on one round of both sides instead of on one side's
 best case, so the ratios the ratchet compares hold still between runs.
@@ -34,8 +34,8 @@ prefill
 speculative (``--spec-decode``)
     The plain batched decode loop versus :func:`spec_decode_step`
     (propose k, verify the whole window in one stacked forward, roll
-    rejections back), swept over draft source × k × temperature.  The
-    prompts tile a short pattern so generation revisits earlier context
+    rejections back) with the n-gram draft, swept over k × temperature.
+    The prompts tile a short pattern so generation revisits earlier context
     — the regime prompt-lookup drafting exists for.  Greedy rows assert
     token equality (speculative greedy is bitwise-identical by
     construction); each row records its measured acceptance rate, giving
@@ -53,9 +53,8 @@ import time
 import numpy as np
 
 from .models import GPTModel, KVCache, PackedKVPool, preset
-from .models.speculative import (DRAFT_SOURCES, NGramDraft, ModelDraft,
-                                 SamplingParams, draft_model_config,
-                                 request_rng, sample_token, spec_decode_step)
+from .models.speculative import (NGramDraft, SamplingParams, request_rng,
+                                 sample_token, spec_decode_step)
 
 __all__ = ["bench_decode", "bench_prefill", "bench_spec_decode",
            "run_spec_bench", "run_perf_bench",
@@ -223,11 +222,10 @@ def _patterned_prompts(model, batch_size: int, prompt_len: int,
             for i in range(batch_size)]
 
 
-def bench_spec_decode(model: GPTModel, draft: str = "ngram", k: int = 4,
+def bench_spec_decode(model: GPTModel, k: int = 4,
                       temperature: float = 0.0, batch_size: int = 4,
                       prompt_len: int = 24, new_tokens: int = 20,
-                      seed: int = 0, repeats: int = 7,
-                      draft_layers: int = 1) -> dict:
+                      seed: int = 0, repeats: int = 7) -> dict:
     """Time plain batched decode vs speculative decode of one batch.
 
     Both paths prefill identically (untimed) and then generate at least
@@ -238,8 +236,6 @@ def bench_spec_decode(model: GPTModel, draft: str = "ngram", k: int = 4,
     than plain sampling, so per-token equality is not defined there (the
     distributions match instead; see ``tests/test_speculative.py``).
     """
-    if draft not in DRAFT_SOURCES:
-        raise ValueError(f"draft must be one of {DRAFT_SOURCES}: {draft!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1: {k}")
     cfg = model.config
@@ -286,21 +282,9 @@ def bench_spec_decode(model: GPTModel, draft: str = "ngram", k: int = 4,
         tokens = [[t] for t in last]
         rngs = [request_rng(seed + i) if temperature > 0 else None
                 for i in range(batch_size)]
-        if draft == "ngram":
-            proposer = NGramDraft()
-        else:
-            proposer = ModelDraft(
-                GPTModel(draft_model_config(cfg, num_layers=draft_layers),
-                         seed=seed + 1),
-                num_slots=batch_size,
-                block_tokens=max(16, prompt_len))
+        proposer = NGramDraft()
         accepted = proposed = 0
-        # The draft prefill is timed: it is real work the plain path
-        # does not pay, so excluding it would flatter the model draft.
         t0 = time.perf_counter()
-        for i in range(batch_size):
-            proposer.start(i, np.concatenate([
-                prompts[i], np.asarray(tokens[i][:-1], dtype=np.int64)]))
         while min(len(t) for t in tokens) < new_tokens:
             contexts = [np.concatenate([
                 prompts[i], np.asarray(tokens[i], dtype=np.int64)])
@@ -312,8 +296,7 @@ def bench_spec_decode(model: GPTModel, draft: str = "ngram", k: int = 4,
                       for i in range(batch_size)]
             results = spec_decode_step(
                 model, pool, slots, proposer, contexts, params, rngs, k,
-                limits, [None] * batch_size,
-                keys=list(range(batch_size)))
+                limits, [None] * batch_size)
             for i, (emitted, acc) in enumerate(results):
                 tokens[i].extend(emitted)
                 accepted += acc
@@ -324,7 +307,6 @@ def bench_spec_decode(model: GPTModel, draft: str = "ngram", k: int = 4,
     (plain_s, spec_s), (plain_tokens, (spec_tokens, accepted, proposed)) = \
         _alternate(repeats, plain, speculative)
     return {
-        "draft": draft,
         "k": k,
         "temperature": temperature,
         "batch_size": batch_size,
@@ -340,19 +322,18 @@ def bench_spec_decode(model: GPTModel, draft: str = "ngram", k: int = 4,
 
 
 def run_spec_bench(model_name: str = "tiny-llama",
-                   drafts: tuple[str, ...] = ("ngram", "model"),
                    ks: tuple[int, ...] = (2, 4, 8),
                    temperatures: tuple[float, ...] = (0.0, 0.8),
                    batch_size: int = 4, prompt_len: int = 24,
                    new_tokens: int = 20, seed: int = 0,
                    repeats: int = 7) -> list[dict]:
-    """The acceptance-rate vs speedup sweep: draft × k × temperature."""
+    """The acceptance-rate vs speedup sweep: k × temperature."""
     model = GPTModel(preset(model_name), seed=seed)
-    return [bench_spec_decode(model, draft=draft, k=k,
-                              temperature=temp, batch_size=batch_size,
-                              prompt_len=prompt_len, new_tokens=new_tokens,
-                              seed=seed, repeats=repeats)
-            for draft in drafts for k in ks for temp in temperatures]
+    return [bench_spec_decode(model, k=k, temperature=temp,
+                              batch_size=batch_size, prompt_len=prompt_len,
+                              new_tokens=new_tokens, seed=seed,
+                              repeats=repeats)
+            for k in ks for temp in temperatures]
 
 
 def _run_environment() -> dict:
@@ -369,7 +350,6 @@ def run_perf_bench(model_name: str = "tiny-llama",
                    chunk_tokens: int = 16, prefill_len: int = 48,
                    seed: int = 0, repeats: int = 7,
                    spec_decode: bool = False,
-                   spec_drafts: tuple[str, ...] = ("ngram", "model"),
                    spec_ks: tuple[int, ...] = (2, 4, 8),
                    spec_temperatures: tuple[float, ...] = (0.0, 0.8),
                    spec_tokens: int = 20) -> dict:
@@ -392,9 +372,8 @@ def run_perf_bench(model_name: str = "tiny-llama",
     }
     if spec_decode:
         results["speculative"] = run_spec_bench(
-            model_name, drafts=spec_drafts, ks=spec_ks,
-            temperatures=spec_temperatures, new_tokens=spec_tokens,
-            seed=seed, repeats=repeats)
+            model_name, ks=spec_ks, temperatures=spec_temperatures,
+            new_tokens=spec_tokens, seed=seed, repeats=repeats)
     return results
 
 
@@ -405,7 +384,7 @@ def _decode_key(row: dict) -> tuple:
 
 def _spec_key(row: dict) -> tuple:
     """A speculative row's sweep point."""
-    return row["draft"], row["k"], row["temperature"], row["new_tokens"]
+    return row["k"], row["temperature"], row["new_tokens"]
 
 
 def baseline_coverage(results: dict, baseline: dict) -> dict[str, int]:
@@ -468,8 +447,7 @@ def compare_perf_baseline(results: dict, baseline: dict,
     base_spec = {_spec_key(row): row
                  for row in baseline.get("speculative", [])}
     for row in results.get("speculative", []):
-        label = (f"spec {row['draft']} k={row['k']} "
-                 f"T={row['temperature']:g}")
+        label = f"spec k={row['k']} T={row['temperature']:g}"
         if row["tokens_match"] is False:
             problems.append(
                 f"{label}: greedy speculative tokens diverged from "
@@ -516,14 +494,13 @@ def format_perf_bench(results: dict) -> str:
     if spec:
         lines.append("")
         lines.append("speculative decode (acceptance vs speedup)")
-        header = ["draft", "k", "temp", "plain", "spec", "speedup",
-                  "accept", "tokens"]
+        header = ["k", "temp", "plain", "spec", "speedup", "accept",
+                  "tokens"]
         rows = []
         for row in spec:
             match = {True: "match", False: "MISMATCH",
                      None: "sampled"}[row["tokens_match"]]
-            rows.append([row["draft"], str(row["k"]),
-                         f"{row['temperature']:g}",
+            rows.append([str(row["k"]), f"{row['temperature']:g}",
                          f"{row['plain_s'] * 1e3:.1f} ms",
                          f"{row['spec_s'] * 1e3:.1f} ms",
                          f"{row['speedup']:.2f}x",

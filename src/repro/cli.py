@@ -280,6 +280,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     from .core import ExperimentContext, list_experiments, reproduce
+    from .core.report import claims_table
     if args.list:
         for row in list_experiments():
             heavy = " (heavy)" if row["heavy"] else ""
@@ -293,7 +294,9 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     print(f"{result.exp_id}: {result.title}")
     import json
     print(json.dumps(result.data, indent=2, default=str))
-    return 0
+    print()
+    print(claims_table(result.claims))
+    return 0 if all(c.holds for c in result.claims) else 1
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -1006,8 +1009,6 @@ def _cmd_perf_bench(args: argparse.Namespace) -> int:
                         if k.strip())
         spec_temps = tuple(float(t) for t in args.spec_temps.split(",")
                            if t.strip())
-        spec_drafts = tuple(d.strip() for d in args.spec_drafts.split(",")
-                            if d.strip())
         repeats = args.repeats
         if args.smoke:
             # Trim sweep points and rounds only: a row's token counts are
@@ -1019,9 +1020,8 @@ def _cmd_perf_bench(args: argparse.Namespace) -> int:
             args.model, batch_sizes=batch_sizes, prompt_len=args.prompt,
             new_tokens=args.tokens, chunk_tokens=args.chunk,
             prefill_len=args.prefill_len, seed=args.seed, repeats=repeats,
-            spec_decode=args.spec_decode, spec_drafts=spec_drafts,
-            spec_ks=spec_ks, spec_temperatures=spec_temps,
-            spec_tokens=args.spec_tokens)
+            spec_decode=args.spec_decode, spec_ks=spec_ks,
+            spec_temperatures=spec_temps, spec_tokens=args.spec_tokens)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1289,7 +1289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gpus", type=int, default=256)
     p.add_argument("--flash", type=int, default=1, choices=[0, 1, 2])
 
-    p = sub.add_parser("reproduce", help="regenerate one paper artifact")
+    p = sub.add_parser("reproduce",
+                       help="regenerate one paper artifact and check its "
+                            "claims (exit 1 when one is violated)")
     p.add_argument("--id", default="")
     p.add_argument("--list", action="store_true")
 
@@ -1325,7 +1327,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-request sampling temperature (0 = greedy; "
                         "each request gets its own seeded rng)")
     p.add_argument("--spec-decode", default="none",
-                   choices=["none", "model", "ngram"],
+                   choices=["none", "ngram"],
                    help="speculative decoding draft source "
                         "(default: none)")
     p.add_argument("--spec-k", type=int, default=4,
@@ -1371,7 +1373,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="timing rounds; each row alternates its two sides "
                         "once per round and reports medians (default: 7)")
     p.add_argument("--spec-decode", action="store_true",
-                   help="also sweep speculative decoding (draft x k x "
+                   help="also sweep n-gram speculative decoding (k x "
                         "temperature acceptance/speedup curves)")
     p.add_argument("--spec-k", default="2,4,8",
                    help="comma-separated speculation depths to sweep "
@@ -1379,9 +1381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec-temps", default="0,0.8",
                    help="comma-separated sampling temperatures for the "
                         "speculative sweep (default: 0,0.8)")
-    p.add_argument("--spec-drafts", default="ngram,model",
-                   help="comma-separated draft sources to sweep "
-                        "(default: ngram,model)")
     p.add_argument("--spec-tokens", type=int, default=20,
                    help="new tokens per request in the speculative "
                         "sweep (default: 20)")

@@ -4,7 +4,8 @@
 registered artifact listing each claim with its reproduced value, the
 paper's value and the verdict.  It covers the light entries, and
 ``include_heavy`` adds the training-backed ones.  Exposed on the CLI as
-``python -m repro report``.
+``python -m repro report``; ``python -m repro reproduce`` prints one
+artifact's table through the same :func:`claims_table`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 from .experiments import ExperimentContext, reproduce_all
 from .observations import check_all
 
-__all__ = ["build_report", "write_report"]
+__all__ = ["build_report", "claims_table", "write_report"]
 
 
 def _fmt(value) -> str:
@@ -40,6 +41,13 @@ def _verdict(holds: bool) -> str:
     return "HOLDS" if holds else "VIOLATED"
 
 
+def claims_table(claims) -> str:
+    """One artifact's claims as a claim/ours/paper/verdict table."""
+    return _md_table(["claim", "ours", "paper", "verdict"],
+                     [[c.name, _fmt(c.ours), _fmt(c.paper),
+                       _verdict(c.holds)] for c in claims])
+
+
 def build_report(context: ExperimentContext | None = None,
                  include_heavy: bool = False) -> str:
     """Render the reproduction report as markdown text."""
@@ -59,9 +67,7 @@ def build_report(context: ExperimentContext | None = None,
     results = reproduce_all(context, include_heavy=include_heavy)
     for exp_id, result in results.items():
         lines += ["", f"## `{exp_id}` — {result.title}", "",
-                  _md_table(["claim", "ours", "paper", "verdict"],
-                            [[c.name, _fmt(c.ours), _fmt(c.paper),
-                              _verdict(c.holds)] for c in result.claims])]
+                  claims_table(result.claims)]
     lines.append("")
     return "\n".join(lines)
 

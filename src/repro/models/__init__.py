@@ -11,8 +11,7 @@ from .layers import (Dropout, Embedding, LayerNorm, Linear, Module, Parameter,
                      RMSNorm)
 from .mlp import GeluMLP, SwiGLUMLP, build_mlp
 from .packed_kv import PackedKVPool, PackedSlotCache
-from .speculative import (DRAFT_SOURCES, ModelDraft, NGramDraft,
-                          SamplingParams, accept_tokens, draft_model_config,
+from .speculative import (NGramDraft, SamplingParams, accept_tokens,
                           request_rng, sample_token, spec_decode_step,
                           warp_probs)
 from .tensor import Tensor, no_grad
@@ -31,7 +30,6 @@ __all__ = [
     "RMSNorm", "GeluMLP", "SwiGLUMLP", "build_mlp",
     "Tensor", "no_grad", "GPTModel", "TransformerLayer", "cross_entropy",
     # Speculative decoding and per-request sampling.
-    "DRAFT_SOURCES", "ModelDraft", "NGramDraft", "SamplingParams",
-    "accept_tokens", "draft_model_config", "request_rng", "sample_token",
-    "spec_decode_step", "warp_probs",
+    "NGramDraft", "SamplingParams", "accept_tokens", "request_rng",
+    "sample_token", "spec_decode_step", "warp_probs",
 ]

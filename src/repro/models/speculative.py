@@ -8,18 +8,10 @@ sampling (Leviathan et al.) accepts a prefix of each row.  Rejected
 positions are rolled back by shrinking slot lengths
 (``PackedKVPool.truncate``), so the pool is the only KV bookkeeping.
 
-Two proposers are provided:
-
-:class:`ModelDraft`
-    A tiny seeded :class:`GPTModel` (shrunken depth/width, same
-    vocabulary) running its own packed pool in lockstep with the target
-    — the classic draft-model formulation, and the default.
-
-:class:`NGramDraft`
-    Prompt-lookup decoding: propose the continuation of the most recent
-    earlier occurrence of the last *n* context tokens.  Free to run (no
-    draft forward), and very effective whenever generation revisits
-    earlier context.
+The proposer is :class:`NGramDraft`, prompt-lookup decoding: propose
+the continuation of the most recent earlier occurrence of the last *n*
+context tokens.  It is free to run (no draft forward, no per-request
+state) and very effective whenever generation revisits earlier context.
 
 Correctness properties (tested):
 
@@ -28,11 +20,11 @@ Correctness properties (tested):
   target argmax on the first mismatch, so the emitted sequence is
   *bitwise identical* to non-speculative greedy decoding no matter how
   bad the proposer is — draft quality only moves throughput.
-* **Sampled**: draft and target distributions are both warped by the
-  request's ``temperature``/``top_k``/``top_p`` before the accept test
+* **Sampled**: the target distribution is warped by the request's
+  ``temperature``/``top_k``/``top_p`` before the accept test
   ``u <= p(d) / q(d)`` and the residual resample ``norm(max(p - q,
   0))``, so emitted tokens follow the warped target distribution
-  exactly.
+  exactly.  A deterministic proposer is the point mass ``q = 1{d}``.
 
 Sampling helpers here (:func:`warp_probs` / :func:`sample_token`)
 mirror ``GPTModel._pick`` op for op, so engine-side per-request
@@ -41,21 +33,17 @@ sampling is bit-compatible with ``GPTModel.generate``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig
 from .packed_kv import PackedKVPool
 from .transformer import GPTModel
 
 __all__ = [
     "SamplingParams", "warp_probs", "sample_token", "request_rng",
-    "draft_model_config", "ModelDraft", "NGramDraft", "accept_tokens",
-    "spec_decode_step", "DRAFT_SOURCES",
+    "NGramDraft", "accept_tokens", "spec_decode_step",
 ]
-
-DRAFT_SOURCES = ("model", "ngram")
 
 
 @dataclass(frozen=True)
@@ -119,34 +107,6 @@ def request_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(seed)))
 
 
-def draft_model_config(target: ModelConfig, num_layers: int = 1,
-                       hidden_size: int | None = None) -> ModelConfig:
-    """Shrink a target config into a draft config (same vocab/context).
-
-    Depth shrinks to ``num_layers``; width optionally shrinks to
-    ``hidden_size`` with the head dimension preserved (so the rotary
-    tables stay valid) by scaling the head count.  GQA is dropped when
-    the shrunken head count no longer accommodates it.
-    """
-    if num_layers < 1:
-        raise ValueError("draft num_layers must be >= 1")
-    kwargs: dict = {"num_layers": num_layers,
-                    "name": f"draft-of-{target.name or target.arch}"}
-    if hidden_size is not None:
-        head_dim = target.head_dim
-        if hidden_size % head_dim:
-            raise ValueError(
-                f"draft hidden_size ({hidden_size}) must be a multiple of "
-                f"the target head_dim ({head_dim})")
-        heads = hidden_size // head_dim
-        kv = target.num_kv_heads
-        if kv is not None and heads % kv:
-            kv = None
-        kwargs.update(hidden_size=hidden_size, num_heads=heads,
-                      num_kv_heads=kv)
-    return replace(target, **kwargs)
-
-
 class NGramDraft:
     """Prompt-lookup proposer: continue the last seen n-gram's context.
 
@@ -158,31 +118,18 @@ class NGramDraft:
     per-request lifecycle, zero proposal cost in the cost model.
     """
 
-    is_model = False
-
     def __init__(self, n: int = 3):
         if n < 1:
             raise ValueError("ngram n must be >= 1")
         self.n = n
 
-    # Lifecycle no-ops so the engine can treat proposers uniformly.
-    def start(self, key: int, context) -> None:
-        pass
-
-    def release(self, key: int) -> None:
-        pass
-
-    def sync(self, keys, tails, new_lens) -> None:
-        pass
-
-    def propose(self, keys, contexts, k: int, params_list, rngs
-                ) -> tuple[np.ndarray, list]:
-        batch = len(contexts)
-        out = np.empty((batch, k), dtype=np.int64)
+    def propose(self, contexts, k: int) -> np.ndarray:
+        """The ``(len(contexts), k)`` drafted tokens, one row per context."""
+        out = np.empty((len(contexts), k), dtype=np.int64)
         for i, ctx in enumerate(contexts):
             ctx = np.asarray(ctx, dtype=np.int64)
             out[i] = self._lookup(ctx, k)
-        return out, [None] * batch
+        return out
 
     def _lookup(self, ctx: np.ndarray, k: int) -> np.ndarray:
         n = min(self.n, ctx.size)
@@ -199,94 +146,6 @@ class NGramDraft:
         return proposal
 
 
-class ModelDraft:
-    """Draft proposer backed by a tiny seeded :class:`GPTModel`.
-
-    The draft runs its own :class:`PackedKVPool` in lockstep with the
-    target's slots: ``start`` prefllls the draft over the request's
-    context, ``propose`` takes ``k`` batched draft decode steps, and
-    ``sync`` rolls the draft cache back to agree with the accepted
-    prefix (one extra batched forward re-encodes the last drafted token
-    for rows whose whole window was accepted).
-    """
-
-    is_model = True
-
-    def __init__(self, model: GPTModel, num_slots: int,
-                 block_tokens: int = 16):
-        self.model = model
-        self.pool = PackedKVPool.for_model(model.config, num_slots,
-                                           block_tokens=block_tokens)
-        self._slots: dict[int, int] = {}
-
-    def start(self, key: int, context) -> None:
-        """Lease a draft slot for ``key`` and prefill it over ``context``."""
-        if key in self._slots:
-            raise ValueError(f"draft slot for key {key} already started")
-        slot = self.pool.acquire()
-        try:
-            ctx = np.asarray(context, dtype=np.int64)
-            self.model._forward_cached(ctx[None], self.pool.slot_caches(slot))
-        except Exception:
-            self.pool.release(slot)
-            raise
-        self._slots[key] = slot
-
-    def release(self, key: int) -> None:
-        slot = self._slots.pop(key, None)
-        if slot is not None:
-            self.pool.release(slot)
-
-    def propose(self, keys, contexts, k: int, params_list, rngs
-                ) -> tuple[np.ndarray, list]:
-        batch = len(keys)
-        slots = [self._slots[key] for key in keys]
-        out = np.empty((batch, k), dtype=np.int64)
-        probs: list = [None if params_list[i].greedy else []
-                       for i in range(batch)]
-        cur = np.array([contexts[i][-1] for i in range(batch)],
-                       dtype=np.int64)
-        for j in range(k):
-            logits = self.model.decode_step_batched(cur, self.pool, slots)
-            nxt = np.empty(batch, dtype=np.int64)
-            for i in range(batch):
-                if params_list[i].greedy:
-                    nxt[i] = int(logits[i].argmax())
-                else:
-                    q = warp_probs(logits[i], params_list[i])
-                    probs[i].append(q)
-                    nxt[i] = int(rngs[i].choice(len(q), p=q))
-            out[:, j] = nxt
-            cur = nxt
-        return out, probs
-
-    def sync(self, keys, tails, new_lens) -> None:
-        """Reconcile draft caches with the accepted prefixes.
-
-        ``new_lens[i]`` is the target slot's post-rollback length and
-        ``tails[i]`` the last emitted token.  Rows that accepted the
-        whole window (draft cache one position short) are re-extended
-        with one batched forward of their final drafted token.
-        """
-        extend_keys: list = []
-        extend_tokens: list = []
-        for key, tail, new_len in zip(keys, tails, new_lens):
-            slot = self._slots[key]
-            have = self.pool.length(0, slot)
-            if new_len <= have:
-                self.pool.truncate(slot, new_len)
-            else:
-                extend_keys.append(key)
-                extend_tokens.append(tail)
-        if extend_keys:
-            slots = [self._slots[key] for key in extend_keys]
-            # The encoded token is the previously drafted d_k, which for
-            # an all-accepted row equals the second-to-last emission;
-            # tails carries output[-2] for those rows.
-            self.model.decode_step_batched(
-                np.asarray(extend_tokens, dtype=np.int64), self.pool, slots)
-
-
 def accept_tokens(target_logits: np.ndarray, draft_tokens: np.ndarray,
                   draft_probs, params: SamplingParams,
                   rng: np.random.Generator | None, limit: int,
@@ -296,7 +155,7 @@ def accept_tokens(target_logits: np.ndarray, draft_tokens: np.ndarray,
     ``target_logits`` has shape (k + 1, vocab): row ``j < k`` judges
     ``draft_tokens[j]``, row ``k`` is the bonus distribution when the
     whole window is accepted.  ``draft_probs`` is either a list of
-    warped draft distributions (model draft, sampled) or ``None`` —
+    warped draft distributions (a stochastic proposer) or ``None`` —
     a deterministic proposer, treated as a point mass at the drafted
     token.  Returns ``(emitted, accepted)`` where ``accepted`` counts
     drafted tokens kept; ``len(emitted)`` is in ``[1, k + 1]``, clipped
@@ -357,40 +216,28 @@ def accept_tokens(target_logits: np.ndarray, draft_tokens: np.ndarray,
 
 def spec_decode_step(model: GPTModel, pool: PackedKVPool, slots, proposer,
                      contexts, params_list, rngs, k: int, limits,
-                     eos_ids, keys=None) -> list[tuple[list[int], int]]:
+                     eos_ids) -> list[tuple[list[int], int]]:
     """One speculative step for N requests: propose, verify, roll back.
 
     ``contexts[i]`` is request *i*'s full token sequence (prompt +
     output so far, the last token not yet encoded in ``slots[i]``),
-    ``limits[i]`` its remaining token budget.  ``keys`` identifies each
-    row to the proposer (defaults to the slot ids; the serving engine
-    passes request ids, which outlive slot reassignment).  Returns
-    per-request ``(emitted, accepted)``; the pool (and the proposer's
-    own state) are left consistent with the emitted tokens — slot ``i``
-    holds ``pre_len + len(emitted)`` positions, the last emission not
-    yet encoded, exactly the invariant plain batched decoding maintains.
+    ``limits[i]`` its remaining token budget.  Returns per-request
+    ``(emitted, accepted)``; the pool is left consistent with the
+    emitted tokens — slot ``i`` holds ``pre_len + len(emitted)``
+    positions, the last emission not yet encoded, exactly the invariant
+    plain batched decoding maintains.
     """
     batch = len(slots)
-    if keys is None:
-        keys = list(slots)
     pre_lens = [pool.length(0, slot) for slot in slots]
-    proposals, q_list = proposer.propose(keys, contexts, k, params_list,
-                                         rngs)
+    proposals = proposer.propose(contexts, k)
     last = np.array([contexts[i][-1] for i in range(batch)], dtype=np.int64)
     blocks = np.concatenate([last.reshape(-1, 1), proposals], axis=1)
     logits = model.verify_step_batched(blocks, pool, slots)
     results: list[tuple[list[int], int]] = []
-    tails: list[int] = []
-    new_lens: list[int] = []
     for i in range(batch):
-        emitted, acc = accept_tokens(logits[i], proposals[i], q_list[i],
+        emitted, acc = accept_tokens(logits[i], proposals[i], None,
                                      params_list[i], rngs[i], limits[i],
                                      eos_ids[i])
         pool.truncate(slots[i], pre_lens[i] + len(emitted))
         results.append((emitted, acc))
-        new_lens.append(pre_lens[i] + len(emitted))
-        # For an all-accepted row the draft must re-encode d_k == the
-        # second-to-last emission; sync() only reads tails for those.
-        tails.append(emitted[-2] if len(emitted) > 1 else emitted[-1])
-    proposer.sync(keys, tails, new_lens)
     return results

@@ -21,9 +21,9 @@ cluster, and :class:`ServeResult` / :class:`ClusterResult` share
 from .cluster import (HANDOFF_POLICIES, LB_POLICIES, REPLICA_ROLES,
                       ClusterConfig, ClusterResult, ClusterSimulator,
                       ReplicaLayout, ReplicaServer, format_cluster)
-from .config import (DRAFT_SOURCES, SHED_POLICIES, TRANSFER_GRANULARITIES,
-                     FailoverConfig, KVTransferConfig, OverloadConfig,
-                     RoutingConfig, ServingConfig, SpecDecodeConfig)
+from .config import (SHED_POLICIES, TRANSFER_GRANULARITIES, FailoverConfig,
+                     KVTransferConfig, OverloadConfig, RoutingConfig,
+                     ServingConfig, SpecDecodeConfig)
 from .engine import DecodeCostModel, ServingEngine, run_sequential
 from .kv_pool import KVPoolConfig, PagedKVPool, kv_bytes_per_token
 from .metrics import (RequestRecord, ServingMetrics, TimelineSample,
@@ -51,7 +51,7 @@ __all__ = [
     # Single-replica engine.
     "DecodeCostModel", "ServingEngine", "run_sequential",
     # Speculative decoding.
-    "SpecDecodeConfig", "DRAFT_SOURCES",
+    "SpecDecodeConfig",
     # Cluster simulator.
     "ClusterConfig", "ClusterSimulator", "ReplicaLayout", "ReplicaServer",
     "RoutingConfig", "LB_POLICIES", "HANDOFF_POLICIES", "REPLICA_ROLES",

@@ -270,11 +270,10 @@ class TimingExecutor:
         """
         req.cache_match = match
 
-    def prefill(self, req: Request, tokens: int) -> int:
+    def prefill(self, req: Request, tokens: int) -> None:
         req.prefill_pos += tokens
         if req.prefill_pos >= req.prompt_len:
             req.output.append(_SENTINEL)
-        return 0  # no draft model runs, so no draft prefill is billed
 
     def decode(self, batch: list[Request]) -> None:
         for req in batch:

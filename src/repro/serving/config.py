@@ -25,7 +25,7 @@ from .scheduler import SchedulerConfig
 __all__ = ["FailoverConfig", "KVTransferConfig", "OverloadConfig",
            "RoutingConfig", "ServingConfig", "SpecDecodeConfig",
            "LB_POLICIES", "HANDOFF_POLICIES", "SHED_POLICIES",
-           "TRANSFER_GRANULARITIES", "DRAFT_SOURCES"]
+           "TRANSFER_GRANULARITIES"]
 
 #: Load-balancing policies the cluster router understands.
 #: ``cache-aware`` routes to the replica whose radix prefix cache holds
@@ -48,11 +48,6 @@ TRANSFER_GRANULARITIES = ("layer", "cache")
 #: before ``interactive`` ones (evicting queued batch work if needed).
 SHED_POLICIES = ("none", "bounded-queue", "deadline-estimate", "priority")
 
-#: Draft proposers for speculative decoding: ``model`` runs a tiny
-#: seeded draft model in lockstep with the target; ``ngram`` is
-#: prompt-lookup decoding (free, no draft forward).
-DRAFT_SOURCES = ("model", "ngram")
-
 
 @dataclass(frozen=True)
 class SpecDecodeConfig:
@@ -62,17 +57,10 @@ class SpecDecodeConfig:
         Tokens drafted per verify window; each speculative step emits
         between 1 and ``k + 1`` tokens per request.
     ``draft``
-        One of :data:`DRAFT_SOURCES`.  ``model`` builds a shrunken
-        seeded :class:`~repro.models.transformer.GPTModel` sharing the
-        target's vocabulary; ``ngram`` proposes by prompt lookup.
-    ``draft_layers`` / ``draft_hidden``
-        Geometry of the ``model`` draft: depth, and optional width
-        (``None`` keeps the target width).  Ignored for ``ngram``.
-    ``draft_seed``
-        Initialization seed of the ``model`` draft — part of the
-        deterministic run description.
+        The draft proposer; ``ngram`` (prompt lookup, no draft
+        forward) is the only one.
     ``ngram_n``
-        Lookup n-gram length for the ``ngram`` draft.
+        Lookup n-gram length of the ``ngram`` draft.
     ``acceptance``
         Assumed per-token acceptance probability for *timing-level*
         simulation (:class:`~repro.serving.cluster.ClusterSimulator`
@@ -82,25 +70,15 @@ class SpecDecodeConfig:
     """
 
     k: int = 4
-    draft: str = "model"
-    draft_layers: int = 1
-    draft_hidden: int | None = None
-    draft_seed: int = 0x5EED
+    draft: str = "ngram"
     ngram_n: int = 3
     acceptance: float | None = None
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1: {self.k}")
-        if self.draft not in DRAFT_SOURCES:
-            raise ValueError(
-                f"draft must be one of {DRAFT_SOURCES}: {self.draft!r}")
-        if self.draft_layers < 1:
-            raise ValueError(
-                f"draft_layers must be >= 1: {self.draft_layers}")
-        if self.draft_hidden is not None and self.draft_hidden < 1:
-            raise ValueError(
-                f"draft_hidden must be >= 1 (or None): {self.draft_hidden}")
+        if self.draft != "ngram":
+            raise ValueError(f"draft must be 'ngram': {self.draft!r}")
         if self.ngram_n < 1:
             raise ValueError(f"ngram_n must be >= 1: {self.ngram_n}")
         if self.acceptance is not None \
@@ -108,29 +86,6 @@ class SpecDecodeConfig:
             raise ValueError(
                 f"acceptance must be in [0, 1] (or None): "
                 f"{self.acceptance}")
-
-    def build_proposer(self, model_config: ModelConfig, num_slots: int,
-                       block_tokens: int = 16):
-        """Instantiate the draft proposer for a live engine."""
-        from ..models.speculative import (ModelDraft, NGramDraft,
-                                          draft_model_config)
-        from ..models.transformer import GPTModel
-        if self.draft == "ngram":
-            return NGramDraft(self.ngram_n)
-        draft_cfg = draft_model_config(model_config,
-                                       num_layers=self.draft_layers,
-                                       hidden_size=self.draft_hidden)
-        draft = GPTModel(draft_cfg, seed=self.draft_seed)
-        return ModelDraft(draft, num_slots, block_tokens=block_tokens)
-
-    def draft_config(self, model_config: ModelConfig) -> ModelConfig | None:
-        """The draft's :class:`ModelConfig`, or None for ``ngram``."""
-        if self.draft == "ngram":
-            return None
-        from ..models.speculative import draft_model_config
-        return draft_model_config(model_config,
-                                  num_layers=self.draft_layers,
-                                  hidden_size=self.draft_hidden)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,8 @@ from ..frontier.roofline import RooflineModel
 from ..models.config import ModelConfig
 from ..models.flops import GEMMShape
 from ..models.packed_kv import PackedKVPool
-from ..models.speculative import SamplingParams, sample_token, spec_decode_step
+from ..models.speculative import (NGramDraft, SamplingParams, sample_token,
+                                  spec_decode_step)
 from ..parallel.collectives import CollectiveModel, GroupTopology
 from .config import ServingConfig
 from .kv_pool import PagedKVPool, kv_bytes_per_token
@@ -188,14 +189,10 @@ class NumericExecutor:
         self.packed = PackedKVPool.for_model(
             model.config, num_slots=config.max_batch_size,
             block_tokens=config.block_size)
-        # Speculative decoding: a draft proposer keyed by request_id
-        # (ModelDraft leases a lockstep slot in its own packed pool;
-        # NGramDraft is stateless).
+        # Speculative decoding: the stateless prompt-lookup proposer.
         self.proposer = None
         if config.spec_decode is not None:
-            self.proposer = config.spec_decode.build_proposer(
-                model.config, config.max_batch_size,
-                block_tokens=config.block_size)
+            self.proposer = NGramDraft(config.spec_decode.ngram_n)
 
     def _lease(self, req: Request) -> None:
         if req.slot is None:
@@ -203,11 +200,9 @@ class NumericExecutor:
             req.caches = self.packed.slot_caches(req.slot)
 
     def release(self, req: Request) -> None:
-        """Return the request's slot and draft state (finish/preempt/cancel)."""
+        """Return the request's slot (finish/preempt/cancel)."""
         self.packed.release(req.slot)
         req.slot = None
-        if self.proposer is not None:
-            self.proposer.release(req.request_id)
 
     def _emit(self, req: Request, logits_row: np.ndarray) -> None:
         """Append the next token: argmax (greedy) or per-request sampling."""
@@ -216,19 +211,6 @@ class NumericExecutor:
             return
         params = SamplingParams(req.temperature, req.top_k, req.top_p)
         req.output.append(sample_token(logits_row, params, req.make_rng()))
-
-    def _attach(self, req: Request) -> int:
-        """Start the draft proposer for a request about to decode.
-
-        Returns the context length the proposer started over (0 when
-        none did).
-        """
-        if self.proposer is None or req.done:
-            return 0
-        ctx = np.concatenate([req.prompt,
-                              np.asarray(req.output[:-1], dtype=np.int64)])
-        self.proposer.start(req.request_id, ctx)
-        return len(ctx)
 
     def adopt_prefix(self, req: Request, match, cache) -> None:
         """Copy a cached prefix's KV into the request's slot.
@@ -245,7 +227,7 @@ class NumericExecutor:
         cache.copy_into(match, self.packed, req.slot)
         cache.release(match)
 
-    def restore(self, req: Request) -> int:
+    def restore(self, req: Request) -> None:
         """Re-import a preempted request's captured KV snapshot."""
         self._lease(req)
         k_parts, v_parts = req.saved_kv
@@ -253,9 +235,8 @@ class NumericExecutor:
         req.prefill_pos = req.prompt_len
         req.saved_kv = None
         req.saved_len = 0
-        return self._attach(req)
 
-    def prefill(self, req: Request, tokens: int) -> int:
+    def prefill(self, req: Request, tokens: int) -> None:
         """Forward the next ``tokens`` prompt positions over the slot.
 
         With a prefix-cache hit the slot already holds ``prefill_pos``
@@ -270,9 +251,8 @@ class NumericExecutor:
             req.prompt[None, start:start + tokens], req.caches)
         req.prefill_pos = start + tokens
         if req.prefill_pos < req.prompt_len:
-            return 0
+            return
         self._emit(req, logits.data[0, -1])
-        return self._attach(req)
 
     def decode(self, batch: list[Request]) -> None:
         """One stacked decode forward over the batch's slots."""
@@ -298,8 +278,7 @@ class NumericExecutor:
                             top_p=r.top_p) for r in batch],
             [r.make_rng() if r.sampling else None for r in batch],
             k, [r.max_new_tokens - len(r.output) for r in batch],
-            [r.eos_id for r in batch],
-            keys=[r.request_id for r in batch])
+            [r.eos_id for r in batch])
         for req, (emitted, _) in zip(batch, results):
             req.output.extend(emitted)
         return [accepted for _, accepted in results]

@@ -22,8 +22,7 @@ What differs between the two systems is the token work, which an
 ``prefill(req, tokens)``
     Encode the next ``tokens`` prompt positions and advance
     ``req.prefill_pos``; once the prompt is complete, append the first
-    token.  Returns the context length a draft proposer was started
-    over, 0 when none was.
+    token.
 ``decode(batch)``
     Append one token to each request of ``batch``.
 ``verify(batch, k)``
@@ -34,12 +33,11 @@ What differs between the two systems is the token work, which an
     Take over a prefix-cache hit whose tokens already count as
     prefilled.
 ``release(req)``
-    Free the request's KV slot and draft state.  Only called for a
-    request holding a slot (``req.slot``).
+    Free the request's KV slot.  Only called for a request holding a
+    slot (``req.slot``).
 ``restore(req)``
-    Re-import a preempted request's captured KV (``req.saved_kv``)
-    and return like ``prefill``.  Only called for a request carrying a
-    snapshot.
+    Re-import a preempted request's captured KV (``req.saved_kv``).
+    Only called for a request carrying a snapshot.
 
 Only an executor that leases slots creates slots or snapshots, so a
 timing-level executor needs neither method.
@@ -110,21 +108,11 @@ class ReplicaServer:
         if self.prefix_cache is not None:
             self.scheduler.reclaim = self._cache_reclaim
         # Speculative decoding: a step verifies the executor's drafted
-        # window in one stacked pass, plus k draft decode steps for a
-        # model draft.
+        # window in one stacked pass.
         self.spec = serving.spec_decode
-        self.draft_cost = None
         self.spec_steps = 0
         self.draft_proposed = 0
         self.draft_accepted = 0
-        if self.spec is not None:
-            draft_cfg = self.spec.draft_config(model_config)
-            if draft_cfg is not None:
-                from .engine import DecodeCostModel
-                self.draft_cost = DecodeCostModel(
-                    draft_cfg, gcd=cost.gcd,
-                    step_overhead_s=cost.step_overhead_s, tp=cost.tp,
-                    collectives=cost.collectives)
         self.clock = 0.0
         self.records: list[RequestRecord] = []
         self.timeline: list[TimelineSample] = []
@@ -466,14 +454,12 @@ class ReplicaServer:
             # exactly where it stopped.
             start = self.clock
             duration = self.cost.restore_time(req.saved_len)
-            draft_tokens = self.executor.restore(req)
+            self.executor.restore(req)
             self.clock = start + duration
             self._event(req.request_id, "kv-restore", start, duration)
             if self.trace is not None:
                 self.trace.append((self.clock, "kv-restore",
                                    req.request_id))
-            if draft_tokens and self.draft_cost is not None:
-                self.clock += self.draft_cost.prefill_time(draft_tokens)
             return
         if self._cache_allowed(req):
             cache = self.prefix_cache
@@ -508,7 +494,7 @@ class ReplicaServer:
             if stretch != 1.0:
                 duration *= stretch
         start = self.clock
-        draft_tokens = self.executor.prefill(req, tokens)
+        self.executor.prefill(req, tokens)
         self.clock = start + duration
         self._event(req.request_id, stage, start, duration)
         if req.prefill_pos < req.prompt_len:
@@ -521,10 +507,6 @@ class ReplicaServer:
             self._finish(req)
         elif self.role == "prefill":
             self._hand_off(req)
-        elif draft_tokens and self.draft_cost is not None:
-            # A model draft prefills its own slot before the request
-            # decodes; the n-gram draft is free.
-            self.clock += self.draft_cost.prefill_time(draft_tokens)
 
     def step(self) -> None:
         """One scheduling iteration: admit + prefill, or one decode step."""
@@ -632,21 +614,17 @@ class ReplicaServer:
             return
 
         start = self.clock
-        draft_s = 0.0
         if k_eff >= 1:
             accepted = self.executor.verify(survivors, k_eff)
             self.spec_steps += 1
             self.draft_proposed += k_eff * len(survivors)
             self.draft_accepted += sum(accepted)
             total_ctx = sum(r.context_len for r in survivors)
-            # One target verify pass (weights streamed ONCE for the
-            # whole window — the speedup source) plus, for a model
-            # draft, k_eff cheap draft decode steps.
+            # One target verify pass: weights streamed ONCE for the
+            # whole window — the speedup source.  The n-gram draft
+            # runs no forward, so it adds nothing.
             step_s = self.cost.verify_step_time(len(survivors), total_ctx,
                                                 k_eff + 1)
-            if self.draft_cost is not None:
-                draft_s = k_eff * self.draft_cost.decode_step_time(
-                    len(survivors), total_ctx)
         else:
             self.executor.decode(survivors)
             total_ctx = sum(r.context_len for r in survivors)
@@ -657,11 +635,7 @@ class ReplicaServer:
             stretch = self._slowdown()
             if stretch != 1.0:
                 step_s *= stretch
-                draft_s *= stretch
-        # Two additions, not one: the draft steps run after the verify
-        # pass, and the clock sums the phases in that order.
         self.clock += step_s
-        self.clock += draft_s
         if k_eff >= 1 and self.trace is not None:
             for req, acc in zip(survivors, accepted):
                 stage = "spec-accept" if acc == k_eff else "spec-reject"

@@ -81,6 +81,18 @@ class BPETokenizer(Tokenizer):
         self.merge_ranks: dict[tuple[int, int], int] = {}
         self._id_to_bytes: dict[int, bytes] = {}
         self._num_special = len(SPECIAL_TOKENS)
+        #: ``encode``'s word -> ids memo: a corpus repeats few distinct
+        #: words many times.  ``train`` clears it, and pickles leave it out.
+        self._word_ids: dict[str, list[int]] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_word_ids"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._word_ids = {}
 
     # ------------------------------------------------------------------
     @property
@@ -110,6 +122,7 @@ class BPETokenizer(Tokenizer):
 
         self.merges.clear()
         self.merge_ranks.clear()
+        self._word_ids.clear()
         self._id_to_bytes = {self.byte_offset + b: bytes([b]) for b in range(256)}
 
         next_id = base
@@ -175,8 +188,12 @@ class BPETokenizer(Tokenizer):
         ids: list[int] = []
         if add_special:
             ids.append(SPECIAL_TOKENS["<bos>"])
+        memo = self._word_ids
         for word in _pretokenize(text):
-            ids.extend(self._encode_word(word))
+            word_ids = memo.get(word)
+            if word_ids is None:
+                word_ids = memo[word] = self._encode_word(word)
+            ids.extend(word_ids)
         if add_special:
             ids.append(SPECIAL_TOKENS["<eos>"])
         return np.array(ids, dtype=np.int64)

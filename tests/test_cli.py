@@ -78,6 +78,22 @@ class TestCommands:
         assert "Observation 1: HOLDS" in out
         assert "Observation 3: HOLDS" in out
 
+    def test_reproduce_prints_claim_verdicts(self, capsys):
+        assert main(["reproduce", "--id", "fig4"]) == 0
+        out = capsys.readouterr().out
+        assert "| claim | ours | paper | verdict |" in out
+        assert "| HOLDS |" in out and "VIOLATED" not in out
+
+    def test_reproduce_violated_claim_exits_1(self, capsys, monkeypatch):
+        import dataclasses
+        from repro.core.experiments import EXPERIMENTS, Claim
+        monkeypatch.setitem(EXPERIMENTS, "fig4", dataclasses.replace(
+            EXPERIMENTS["fig4"],
+            claims=lambda data: [Claim("fails on purpose", False, 1, 2)]))
+        assert main(["reproduce", "--id", "fig4"]) == 1
+        assert "| fails on purpose | 1 | 2 | VIOLATED |" \
+            in capsys.readouterr().out
+
     def test_heatmap_output(self, capsys):
         assert main(["heatmap"]) == 0
         out = capsys.readouterr().out

@@ -589,9 +589,9 @@ class TestCli:
                     "num_chunks": 3, "monolithic_s": 1.0, "chunked_s": 1.0,
                     "overhead_ratio": 1e-6, "tokens_match": True}
 
-        def spec(model, draft, k, temperature, batch_size, prompt_len,
+        def spec(model, k, temperature, batch_size, prompt_len,
                  new_tokens, **_):
-            return {"draft": draft, "k": k, "temperature": temperature,
+            return {"k": k, "temperature": temperature,
                     "batch_size": batch_size, "prompt_len": prompt_len,
                     "new_tokens": new_tokens, "plain_s": spec_speedup,
                     "spec_s": 1.0, "speedup": spec_speedup,
@@ -613,8 +613,8 @@ class TestCli:
                      "--output", "", "--baseline", baseline]) == 1
         out = capsys.readouterr().out
         assert "perf regression" in out
-        assert "spec ngram k=2 T=0: speedup 0.01x" in out
-        assert "4 decode row(s)" in out and "8 speculative row(s)" in out
+        assert "spec k=2 T=0: speedup 0.01x" in out
+        assert "4 decode row(s)" in out and "4 speculative row(s)" in out
         self.fake_benches(monkeypatch, spec_speedup=1000.0)
         assert main(["perf-bench", "--smoke", "--spec-decode",
                      "--output", "", "--baseline", baseline]) == 0

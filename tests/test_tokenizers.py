@@ -85,6 +85,34 @@ class TestBPE:
         table = bpe.token_strings()
         assert len(table) == bpe.vocab_size
 
+    def test_word_memo_matches_unmemoized_encoding(self):
+        from repro.tokenizers.bpe import _pretokenize
+        tok = BPETokenizer().train(CORPUS, 320)
+        for text in CORPUS[:6] + ["unseen  words\tand the band gap"]:
+            expected = [i for word in _pretokenize(text)
+                        for i in tok._encode_word(word)]
+            assert tok.encode(text).tolist() == expected
+            assert tok.encode(text).tolist() == expected  # memo hits
+
+    def test_retraining_clears_word_memo(self):
+        tok = BPETokenizer().train(CORPUS, 262)
+        before = tok.encode(CORPUS[0]).tolist()
+        tok.train(CORPUS, 400)
+        after = tok.encode(CORPUS[0]).tolist()
+        assert after != before
+        assert after == BPETokenizer().train(CORPUS, 400).encode(
+            CORPUS[0]).tolist()
+
+    def test_pickle_leaves_word_memo_out(self):
+        import pickle
+        tok = BPETokenizer().train(CORPUS, 320)
+        before = pickle.dumps(tok)
+        tok.encode(" ".join(CORPUS))
+        assert pickle.dumps(tok) == before
+        clone = pickle.loads(before)
+        assert clone.encode(CORPUS[1]).tolist() \
+            == tok.encode(CORPUS[1]).tolist()
+
     @settings(max_examples=25, deadline=None)
     @given(st.text(alphabet=st.characters(codec="utf-8"), max_size=40))
     def test_property_roundtrip_any_utf8(self, text):
