@@ -34,11 +34,21 @@ Subpackages
     autograd, and units invariants (``python -m repro lint``).
 """
 
+import importlib
+
 __version__ = "1.0.0"
 
-from . import (analysis, core, data, evalharness, faults, frontier, matsci,
-               models, parallel, profiling, serving, tokenizers, training)
+__all__ = ["__version__"]
 
-__all__ = ["analysis", "core", "data", "evalharness", "faults", "frontier",
-           "matsci", "models", "parallel", "profiling", "serving",
-           "tokenizers", "training", "__version__"]
+#: Imported on first attribute access (PEP 562), so ``import repro``
+#: loads no subpackage and each entry point pays only for what it runs.
+_SUBPACKAGES = frozenset({
+    "analysis", "core", "data", "evalharness", "faults", "frontier",
+    "matsci", "models", "parallel", "profiling", "serving", "tokenizers",
+    "training"})
+
+
+def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..models.config import ModelConfig
-from ..parallel.collectives import CollectiveModel
-from ..parallel.simulator import ParallelConfig, TrainingSimulator
 from .hardware import GCDSpec, MachineSpec, MI250XSpec, NodeSpec
 
 __all__ = ["SELENE_LIKE", "make_simulator", "compare_platforms",
@@ -51,6 +49,10 @@ def make_simulator(machine: MachineSpec,
     on large rings; by default the Selene-like system gets half of
     Frontier's degradation constant.
     """
+    # Local: ``repro.parallel`` builds on this package, so a module-level
+    # import would make the two packages import each other.
+    from ..parallel.collectives import CollectiveModel
+    from ..parallel.simulator import TrainingSimulator
     if scale_degradation is None:
         scale_degradation = 0.6 if machine.name == "Frontier" else 0.3
     collectives = CollectiveModel(machine.node,
@@ -76,6 +78,7 @@ def compare_platforms(model: ModelConfig, n_gpus: int = 256,
                       machines: tuple[MachineSpec, ...] | None = None
                       ) -> list[PlatformComparison]:
     """Run the ZeRO-1 vs TP=2 contest on each platform."""
+    from ..parallel.strategy import ParallelConfig
     from .hardware import FRONTIER
     machines = machines or (FRONTIER, SELENE_LIKE)
     out = []

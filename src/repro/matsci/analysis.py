@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 __all__ = ["pairwise_distances", "cosine_similarities", "pca", "tsne",
            "kmeans", "silhouette_score", "EmbeddingDiagnostics",
@@ -52,6 +51,10 @@ def bootstrap_mae_ci(predictions: np.ndarray, targets: np.ndarray,
 def pairwise_distances(X: np.ndarray, max_pairs: int = 50000,
                        seed: int = 0) -> np.ndarray:
     """Euclidean distances over all (or a sampled subset of) pairs."""
+    # SciPy is imported here and in the two functions below, not at
+    # module level: its spatial stack is the dearest import in the
+    # package, and ``repro.core`` loads this module for every command.
+    from scipy.spatial.distance import pdist
     X = np.asarray(X, dtype=np.float64)
     n = len(X)
     if n < 2:
@@ -112,6 +115,7 @@ def tsne(X: np.ndarray, n_components: int = 2, perplexity: float = 20.0,
     O(n^2) implementation, suitable for the few hundred formulas used in
     the Fig 17 reproduction.
     """
+    from scipy.spatial.distance import pdist, squareform
     X = np.asarray(X, dtype=np.float64)
     n = len(X)
     if n < 5:
@@ -190,6 +194,7 @@ def kmeans(X: np.ndarray, k: int, n_iter: int = 50, seed: int = 0
 
 def silhouette_score(X: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette coefficient (cluster quality in [-1, 1])."""
+    from scipy.spatial.distance import pdist, squareform
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
     uniq = np.unique(labels)

@@ -32,7 +32,6 @@ from ..models.layers import Module, Parameter
 from ..models.mlp import GeluMLP, SwiGLUMLP
 from ..models.tensor import Tensor, no_grad
 from ..models.transformer import GPTModel, cross_entropy
-from ..training.optimizers import Adam
 from .pipeline import bubble_fraction
 
 __all__ = ["SimulatedComm", "DataParallelTrainer", "Zero1DataParallel",
@@ -107,6 +106,9 @@ class DataParallelTrainer:
     """
 
     def __init__(self, model_factory, world_size: int, lr: float = 1e-3):
+        # Local: a module-level import would load the training stack
+        # (tokenizers and data included) with every ``repro.parallel``.
+        from ..training.optimizers import Adam
         self.comm = SimulatedComm(world_size)
         self.replicas: list[GPTModel] = [model_factory()
                                          for _ in range(world_size)]

@@ -172,6 +172,7 @@ class RadixPrefixCache:
                 block_tokens=block_tokens, dtype=dtype)
         self.paged_pool = paged_pool
         self._root = _RadixNode((), None, 0, None, None, 0)
+        self._resident = 0                 # nodes under the root
         self._clock = itertools.count(1)   # LRU stamps
         self._owners = itertools.count(1)  # paged-pool lease ids
         self.stats = CacheStats()
@@ -189,7 +190,7 @@ class RadixPrefixCache:
     @property
     def num_blocks(self) -> int:
         """Cached blocks currently resident."""
-        return len(self._nodes())
+        return self._resident
 
     @property
     def referenced_blocks(self) -> int:
@@ -363,6 +364,7 @@ class RadixPrefixCache:
         child = _RadixNode(key, parent, parent.depth + 1, store_slot,
                            owner, next(self._clock))
         parent.children[key] = child
+        self._resident += 1
         return child
 
     # -- eviction --------------------------------------------------------
@@ -388,6 +390,7 @@ class RadixPrefixCache:
                 break
             victim = min(victims, key=lambda n: (n.stamp, n.depth))
             del victim.parent.children[victim.key]
+            self._resident -= 1
             if self.store is not None:
                 self.store.release(victim.slot)
             if self.paged_pool is not None:

@@ -313,11 +313,21 @@ class ReplicaServer:
 
     # -- fault-injection hooks (driven by the cluster simulator) --------
     def _slowdown(self) -> float:
-        """Product of active stretch factors at the current clock."""
+        """Product of active stretch factors at the current clock.
+
+        Windows that end at or before the clock are dropped: the clock
+        never runs backwards, so they can never apply again.
+        """
+        clock = self.clock
         factor = 1.0
-        for start, end, f in self.slow_windows:
-            if start <= self.clock < end:
-                factor *= f
+        live = []
+        for window in self.slow_windows:
+            start, end, f = window
+            if end > clock:
+                live.append(window)
+                if start <= clock:
+                    factor *= f
+        self.slow_windows = live
         return factor
 
     def kill(self, now: float) -> None:

@@ -75,6 +75,24 @@ def run_cluster(overload=None, *, n=48, rate=40.0, deadline=None,
     return sim, sim.run(synthesize_workload(wl, CLUSTER_CFG))
 
 
+def run_straggler_cluster():
+    """A 2P6DxTP1 node with armed breakers and stragglers only."""
+    cfg = ClusterConfig(
+        num_nodes=1, layout=ReplicaLayout.from_label("2P6DxTP1"),
+        serving=ServingConfig(max_batch_tokens=8192,
+                              overload=OverloadConfig(breaker=True)),
+        # One straggler per replica-second: both prefill replicas
+        # trip (2 and 3 times), early enough to re-close.
+        faults=FaultConfig(straggler_mtbe_hours=1.0 / 3600,
+                           straggler_window_s=0.05, seed=9))
+    sim = ClusterSimulator(CLUSTER_CFG, cfg)
+    res = sim.run(synthesize_workload(WorkloadConfig(
+        num_requests=120, arrival_rate=60.0,
+        prompt_len_range=(128, 512), output_len_range=(16, 32),
+        seed=3), CLUSTER_CFG))
+    return sim, res
+
+
 def assert_no_leaks(pool, scheduler, prefix_cache=None):
     """Cancellation must retain zero pool blocks or cache leases."""
     assert not scheduler.waiting and not scheduler.running
@@ -345,23 +363,23 @@ class TestCircuitBreaker:
         """Regression: a prefill replica hands every request off, so its
         half-open breaker waited for a finish that never happens there
         and kept the replica out of rotation for good."""
-        cfg = ClusterConfig(
-            num_nodes=1, layout=ReplicaLayout.from_label("2P6DxTP1"),
-            serving=ServingConfig(max_batch_tokens=8192,
-                                  overload=OverloadConfig(breaker=True)),
-            # One straggler per replica-second: both prefill replicas
-            # trip (2 and 3 times), early enough to re-close.
-            faults=FaultConfig(straggler_mtbe_hours=1.0 / 3600,
-                               straggler_window_s=0.05, seed=9))
-        sim = ClusterSimulator(CLUSTER_CFG, cfg)
-        res = sim.run(synthesize_workload(WorkloadConfig(
-            num_requests=120, arrival_rate=60.0,
-            prompt_len_range=(128, 512), output_len_range=(16, 32),
-            seed=3), CLUSTER_CFG))
+        sim, res = run_straggler_cluster()
         assert len(res.records) == res.submitted
         prefill = [r.breaker for r in sim.replicas if r.role == "prefill"]
         assert all(b.trips > 0 for b in prefill)
         assert [b.state for b in prefill] == ["closed", "closed"]
+
+    def test_expired_slow_windows_are_dropped(self):
+        """A straggler window that ended at or before a replica's clock
+        can never apply again, so the replica does not keep it (the
+        list would otherwise grow with every straggler of the run)."""
+        sim, _ = run_straggler_cluster()
+        stragglers = [e for r in sim.replicas for e in r.events
+                      if e.name == "fault/straggler"]
+        assert len(stragglers) > 8
+        for replica in sim.replicas:
+            assert all(end > replica.clock
+                       for _, end, _ in replica.slow_windows)
 
 
 # ----------------------------------------------------------------------

@@ -192,12 +192,14 @@ class TestKVMode:
     def test_referenced_kv_never_corrupted(self, prompts, held_idx):
         """The shared-block safety property: while a match is held, its
         KV bytes survive arbitrary inserts and full-pressure evictions
-        bit for bit."""
+        bit for bit.  The resident-block counter matches a tree walk
+        after every insert and evict."""
         held_idx %= len(prompts)
         held_prompt = np.asarray(prompts[held_idx], dtype=np.int64)
         pool, slot, _ = seeded_pool(tokens=16, seed=3)
         cache = kv_cache(block=4, capacity=3)
         cache.insert(held_prompt[:16], source=pool, slot=slot)
+        assert cache.num_blocks == len(cache._nodes())
         match = cache.match(np.concatenate([held_prompt, held_prompt]))
         if not match.hit:
             return
@@ -207,7 +209,9 @@ class TestKVMode:
         for p in prompts:  # churn: inserts force eviction pressure
             cache.insert(np.asarray(p, dtype=np.int64)[:16],
                          source=pool, slot=slot)
+            assert cache.num_blocks == len(cache._nodes())
             cache.evict(100)
+            assert cache.num_blocks == len(cache._nodes())
         for node in match.path:  # still resident, still referenced
             assert node.refcount >= 1
         after_slot = pool.acquire()
