@@ -498,6 +498,47 @@ def _lint_usage_roots(paths: list[str]) -> list[str]:
     return roots
 
 
+def _lint_scope(paths: list[str]) -> tuple[list[str], set[str] | None]:
+    """The roots to index and the files to report for ``lint PATHS``.
+
+    Whole-program rules need the whole tree: a file indexed alone has
+    no importer of its ``__all__`` names.  So each file argument widens
+    to the tree it lives in, the nearest ancestor directory with no
+    ``__init__.py`` (``src/`` for a module of ``repro``), and only the
+    named paths are reported.  Without a file argument the paths are
+    indexed as given and everything indexed is reported (None).
+    """
+    from pathlib import Path
+
+    from .analysis import iter_python_files
+    if not any(Path(raw).is_file() for raw in paths):
+        return paths, None
+    roots = []
+    for raw in paths:
+        root = Path(raw).resolve()
+        if root.is_file():
+            root = root.parent
+            while (root / "__init__.py").is_file() and root.parent != root:
+                root = root.parent
+        roots.append(root)
+    # A root inside another is indexed once, through the outer one.
+    outer = dict.fromkeys(r for r in roots
+                          if not any(o in r.parents for o in roots))
+    report = {_spell(p.resolve()) for p in iter_python_files(paths)}
+    return [_spell(r) for r in outer], report
+
+
+def _spell(path) -> str:
+    """An absolute path relative to the working directory when it lies
+    under it, the way iter_python_files spells what it finds under a
+    relative root."""
+    from pathlib import Path
+    try:
+        return str(path.relative_to(Path.cwd()))
+    except ValueError:
+        return str(path)
+
+
 def _changed_files(ref: str, paths: list[str]) -> set[str]:
     """Paths under ``paths`` whose content differs from git ``ref``."""
     import subprocess
@@ -522,12 +563,7 @@ def _changed_files(ref: str, paths: list[str]) -> set[str]:
         absolute = (top / name).resolve()
         for root in roots:
             if absolute == root or root in absolute.parents:
-                # Spell the path the way iter_python_files will.
-                try:
-                    spelled = absolute.relative_to(Path.cwd())
-                except ValueError:
-                    spelled = absolute
-                out.add(str(spelled))
+                out.add(_spell(absolute))
                 break
     return out
 
@@ -547,13 +583,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     try:
         checkers = resolve_rules(args.rules)
         baseline = load_baseline(args.baseline) if args.baseline else None
-        restrict = None
+        roots, restrict = _lint_scope(args.paths)
         if args.changed is not None:
-            ref = args.changed or "HEAD"
-            restrict = _changed_files(ref, args.paths)
+            changed = _changed_files(args.changed or "HEAD", args.paths)
+            restrict = changed if restrict is None else restrict & changed
         report = lint_paths(
-            args.paths, checkers, baseline=baseline,
-            usage_roots=_lint_usage_roots(args.paths),
+            roots, checkers, baseline=baseline,
+            usage_roots=_lint_usage_roots(roots),
             restrict_to=restrict, use_cache=not args.no_cache)
     except subprocess.CalledProcessError as exc:
         print(f"error: git diff against {args.changed or 'HEAD'} "

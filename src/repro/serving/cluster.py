@@ -7,16 +7,19 @@ one TP=8 replica spanning it), with a load balancer routing seeded
 Poisson traffic across all replicas and per-replica admission
 backpressure spilling into a cluster-level queue.
 
-The replicas here are *timing-level*: each runs the same
-:class:`~repro.serving.replica.ReplicaServer` core as
-:class:`ServingEngine` — scheduler, paged KV pool, preemption, and
-every other serving rule — but with a :class:`TimingExecutor` that
-decodes sentinel tokens instead of running the NumPy model, so a
-4-node × 8-replica sweep over hundreds of requests costs milliseconds
-while following the engine's queueing rules exactly.  Time comes
-from the same calibrated stack — the roofline prices prefill, the HBM
-stream prices decode, and TP layouts pay per-layer activation
-allreduces through :class:`~repro.parallel.collectives.CollectiveModel`.
+Each replica runs the one
+:class:`~repro.serving.replica.ReplicaServer` core — scheduler, paged
+KV pool, preemption, and every other serving rule.  By default the
+replicas are *timing-level*: a :class:`TimingExecutor` decodes
+sentinel tokens instead of running the NumPy model, so a 4-node ×
+8-replica sweep over hundreds of requests costs milliseconds.  Given a
+model, they run :class:`~repro.serving.engine.NumericExecutor` and
+decode real tokens; :class:`~repro.serving.ServingEngine` is such a
+fleet with one replica, so the router loop and the admission control
+below are the engine's too.  Time comes from the same calibrated
+stack — the roofline prices prefill, the HBM stream prices decode, and
+TP layouts pay per-layer activation allreduces through
+:class:`~repro.parallel.collectives.CollectiveModel`.
 
 Every request emits lifecycle trace events (arrive → route → admit →
 prefill → [preempt →] decode → finish) as
@@ -83,7 +86,7 @@ from ..profiling.tracer import TraceEvent
 from .config import (HANDOFF_POLICIES, LB_POLICIES, FailoverConfig,
                      KVTransferConfig, RoutingConfig, ServingConfig,
                      SpecDecodeConfig)
-from .engine import DecodeCostModel
+from .engine import DecodeCostModel, NumericExecutor
 from .kv_pool import PagedKVPool
 from .metrics import ServingMetrics
 from .replica import REPLICA_ROLES, ReplicaServer
@@ -325,7 +328,9 @@ class ClusterResult(ServingResultBase):
     transfer_requeues: int = 0
     #: per-transfer detail (src/dst replica, tokens, bytes, duration)
     transfer_records: list[TransferRecord] = field(default_factory=list)
-    #: deepest the cluster-level queue ever got
+    #: deepest the cluster-level queue ever got.  A shed policy's
+    #: ``max_queue_depth`` bounds what arrivals join; failover retries
+    #: bypass it, so under faults this can exceed the cap.
     max_queue_depth: int = 0
     #: ``(time, depth)`` samples of the cluster queue, recorded whenever
     #: the depth changes (also exported as a Chrome-trace counter)
@@ -369,12 +374,19 @@ class ClusterResult(ServingResultBase):
 
 
 class ClusterSimulator:
-    """Route Poisson traffic across simulated Frontier serving nodes."""
+    """Route Poisson traffic across simulated Frontier serving nodes.
+
+    Given a :class:`~repro.models.GPTModel` as ``model``, every replica
+    runs it through a :class:`~repro.serving.engine.NumericExecutor`
+    and decodes real tokens; without one, replicas run a
+    :class:`TimingExecutor`.  A numeric fleet must be colocated: the
+    numeric executor ships no KV between replicas.
+    """
 
     def __init__(self, model_config: ModelConfig,
                  config: ClusterConfig | None = None, *,
                  gcd: GCDSpec | None = None, node: NodeSpec | None = None,
-                 collectives: CollectiveModel | None = None):
+                 collectives: CollectiveModel | None = None, model=None):
         self.model_config = model_config
         self.config = config or ClusterConfig()
         self.gcd = gcd or GCDSpec()
@@ -382,6 +394,11 @@ class ClusterSimulator:
         layout = self.config.layout
         layout.validate(model_config, self.node, self.gcd)
         serving = self.config.serving
+        if model is not None and layout.disaggregated:
+            raise ValueError(
+                f"layout {layout.label} is disaggregated, but a model "
+                f"fleet ships no KV between replicas; use a colocated "
+                f"layout or drop model=")
         cost = DecodeCostModel(
             model_config, gcd=self.gcd,
             step_overhead_s=serving.step_overhead_s, tp=layout.tp,
@@ -397,7 +414,9 @@ class ClusterSimulator:
                           PagedKVPool(model_config, pool_config,
                                       gcd=self.gcd),
                           TimingExecutor(serving.spec_decode,
-                                         (0x5BEC, n, r)),
+                                         (0x5BEC, n, r))
+                          if model is None
+                          else NumericExecutor(model, serving),
                           role=layout.role_of(r))
             for n in range(self.config.num_nodes)
             for r in range(layout.replicas_per_node)
@@ -622,12 +641,16 @@ class ClusterSimulator:
     def _shed_reason(self, req: Request, now: float) -> str | None:
         """Admission-control verdict for an arrival; None admits it.
 
-        ``deadline-estimate`` prices the cluster-wide backlog (pending
-        queue plus every healthy prefill-capable replica's work) through
-        the shared cost model, spreading it across those replicas;
-        arrivals whose deadline the optimistic estimate already breaks
-        are provably unattainable.  The queue-depth policies only act
-        when the arrival would join the cluster queue.
+        Every policy judges at the arrival time.  ``deadline-estimate``
+        prices the cluster-wide backlog (pending queue plus every
+        healthy prefill-capable replica's work) through the shared cost
+        model, spreading it across those replicas; arrivals whose
+        deadline the optimistic estimate already breaks are provably
+        unattainable.  ``bounded-queue`` and ``priority`` judge the
+        queue the arrival would join: the cluster queue when requests
+        wait there or no replica is under the backpressure cap, and
+        otherwise the chosen replica's waiting queue.  ``priority``
+        evicts from that same queue.
         """
         overload = self._overload
         policy = overload.shed_policy
@@ -649,23 +672,18 @@ class ClusterSimulator:
             if now + overload.estimate_margin * eta > req.deadline_s:
                 return "deadline-unattainable"
             return None
-        would_queue = bool(self._pending) \
-            or self._best_replica(req) is None
-        if not would_queue:
+        chosen = None if self._pending else self._best_replica(req)
+        queue = self._pending if chosen is None \
+            else chosen.scheduler.waiting
+        if len(queue) < overload.max_queue_depth:
             return None
-        if policy == "bounded-queue":
-            if len(self._pending) >= overload.max_queue_depth:
-                return "queue-full"
-            return None
-        # priority: interactive arrivals displace queued batch work
-        if len(self._pending) < overload.max_queue_depth:
-            return None
-        if req.tier == "batch":
+        if policy == "bounded-queue" or req.tier == "batch":
             return "queue-full"
-        for i in range(len(self._pending) - 1, -1, -1):
-            if self._pending[i].tier == "batch":
-                victim = self._pending.pop(i)
-                self._shed_request(victim, now, "priority-evict")
+        # priority: an interactive arrival displaces the youngest queued
+        # batch-tier request
+        for i in range(len(queue) - 1, -1, -1):
+            if queue[i].tier == "batch":
+                self._shed_request(queue.pop(i), now, "priority-evict")
                 return None
         return "queue-full"
 
@@ -828,12 +846,13 @@ class ClusterSimulator:
 
         A simulator serves one run: its replicas keep their records,
         clocks and pools, and the router its queues, so a second call
-        raises instead of mixing two runs' accounting.
+        raises instead of mixing two runs' accounting.  So does the
+        :class:`~repro.serving.ServingEngine` built on it.
         """
         if self._ran:
             raise RuntimeError(
                 "this ClusterSimulator has already served a run; build "
-                "a new ClusterSimulator for each run")
+                "a new ClusterSimulator (or ServingEngine) for each run")
         if not requests:
             raise ValueError("no requests to serve")
         self.replicas[0].validate(requests)

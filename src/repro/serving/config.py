@@ -41,7 +41,8 @@ TRANSFER_GRANULARITIES = ("layer", "cache")
 
 #: Load-shedding policies the admission controller understands.
 #: ``none`` admits everything (today's behaviour); ``bounded-queue``
-#: sheds arrivals once the admission queue is at ``max_queue_depth``;
+#: sheds arrivals once the queue they would join is at
+#: ``max_queue_depth``;
 #: ``deadline-estimate`` prices the backlog through the decode cost
 #: model and sheds requests that provably cannot meet their deadline;
 #: ``priority`` is ``bounded-queue`` that sheds ``batch``-tier requests
@@ -101,7 +102,12 @@ class OverloadConfig:
         One of :data:`SHED_POLICIES`; applied at admission time.
     ``max_queue_depth``
         Queue cap for the ``bounded-queue`` and ``priority`` policies
-        (required by them, ignored by the others).
+        (required by them, ignored by the others).  It bounds what
+        arrivals join: the cluster queue, or the chosen replica's
+        waiting queue when a replica is under the backpressure cap.
+        Failover retries bypass it, since shedding one would discard a
+        served first token, so under faults the reported
+        ``ClusterResult.max_queue_depth`` can exceed it.
     ``estimate_margin``
         Safety factor on the ``deadline-estimate`` backlog estimate;
         values > 1 shed more aggressively.
@@ -183,7 +189,7 @@ class ServingConfig:
     Scheduler policy and batch geometry mirror :class:`SchedulerConfig`;
     pool geometry mirrors :class:`KVPoolConfig`; ``step_overhead_s`` and
     ``tensor_parallel`` feed the decode cost model; ``max_steps`` bounds
-    the engine loop (a livelock becomes an error, not a hang).
+    each replica's steps (a livelock becomes an error, not a hang).
     """
 
     # Scheduler / batching.
@@ -214,7 +220,7 @@ class ServingConfig:
     overload: OverloadConfig = OverloadConfig()
     # Speculative decoding (None = plain one-token-per-step decoding).
     spec_decode: SpecDecodeConfig | None = None
-    # Engine loop bound.
+    # Step bound per replica.
     max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
@@ -251,11 +257,6 @@ class ServingConfig:
                             dtype_bytes=self.dtype_bytes,
                             num_blocks=self.num_blocks,
                             hbm_gb=self.hbm_gb)
-
-    def build_pool(self, model_config: ModelConfig,
-                   gcd: GCDSpec | None = None) -> PagedKVPool:
-        """Instantiate the paged KV pool this config describes."""
-        return PagedKVPool(model_config, self.pool_config(), gcd=gcd)
 
     def build_prefix_cache(self, model_config: ModelConfig,
                            pool: PagedKVPool, *, store_kv: bool = True):

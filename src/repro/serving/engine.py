@@ -4,10 +4,11 @@ The engine runs the *real* model — every token is produced by the NumPy
 forward pass over per-request KV caches, so engine outputs are
 bit-identical to ``GPTModel.generate(use_cache=True)`` greedy decoding —
 while time is charged on a *virtual clock* by :class:`DecodeCostModel`.
-The serving rules themselves live in
-:class:`~repro.serving.replica.ReplicaServer`, shared with the cluster
-simulator; this module supplies its :class:`NumericExecutor` and the
-engine's front end.
+:class:`ServingEngine` is a one-replica fleet: it runs on
+:class:`~repro.serving.cluster.ClusterSimulator`'s router loop and
+admission control, and its replica is the shared
+:class:`~repro.serving.replica.ReplicaServer` core driving this
+module's :class:`NumericExecutor`.
 The split mirrors the repo's two-track design (docs/ARCHITECTURE.md):
 token semantics are exact, timing is a calibrated analytic model, and
 the combination keeps every trace deterministic under a fixed seed.
@@ -30,6 +31,8 @@ same α–β hierarchy the training simulator uses, which is what lets
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..frontier.hardware import GCDSpec
@@ -40,12 +43,13 @@ from ..models.packed_kv import PackedKVPool
 from ..models.speculative import (NGramDraft, SamplingParams, sample_token,
                                   spec_decode_step)
 from ..parallel.collectives import CollectiveModel, GroupTopology
-from .config import ServingConfig
-from .kv_pool import PagedKVPool, kv_bytes_per_token
+from .config import RoutingConfig, ServingConfig
+from .kv_pool import kv_bytes_per_token
 from .metrics import RequestRecord, ServingMetrics
-from .replica import ReplicaServer
-from .results import ServeResult, ShedRequest, TimedOutRequest
-from .scheduler import Request, estimate_backlog_eta
+from .results import ServeResult
+# estimate_backlog_eta is bound here only for bench/trace.py, which
+# patches it by name in this module.
+from .scheduler import Request, estimate_backlog_eta  # noqa: F401
 
 __all__ = ["DecodeCostModel", "NumericExecutor", "ServeResult",
            "ServingEngine", "run_sequential"]
@@ -287,10 +291,13 @@ class NumericExecutor:
 class ServingEngine:
     """Continuous-batching inference over a paged KV pool.
 
-    One :class:`ReplicaServer` runs the serving rules with a
-    :class:`NumericExecutor`; the engine adds the front end: it submits
-    arrivals in clock order after the shed check and jumps the clock
-    to the next arrival when the replica idles.
+    A one-replica fleet: a colocated, fault-free
+    :class:`~repro.serving.cluster.ClusterSimulator` whose replica runs
+    a :class:`NumericExecutor` and whose router never holds a request
+    back (its backpressure cap is unbounded).  Routing, admission
+    control and the event loop are the cluster's; the engine turns the
+    fleet's result into a :class:`ServeResult`.  Like the fleet, an
+    engine serves one :meth:`run`.
 
     Parameters
     ----------
@@ -301,142 +308,42 @@ class ServingEngine:
     config:
         A :class:`ServingConfig` describing scheduler policy, pool
         geometry, cost knobs, and the step bound.
-    pool, cost_model:
-        Injection seams for tests; defaults are built from ``config``.
+    cost_model:
+        Injection seam for tests; the default is the fleet's, built
+        from ``config``.
     """
 
     def __init__(self, model, config: ServingConfig | None = None, *,
-                 pool: PagedKVPool | None = None,
                  cost_model: DecodeCostModel | None = None):
+        from .cluster import ClusterConfig, ClusterSimulator, ReplicaLayout
         self.model = model
         self.config = config or ServingConfig()
-        self.pool = pool or self.config.build_pool(model.config)
-        self.cost = cost_model or self.config.build_cost_model(model.config)
-        executor = NumericExecutor(model, self.config)
-        self.core = ReplicaServer(0, 0, model.config, self.config,
-                                  self.cost, self.pool, executor)
-        self.scheduler = self.core.scheduler
-        self.packed = executor.packed
-        self.prefix_cache = self.core.prefix_cache
-        self._shed_records: list[ShedRequest] = []
+        self.fleet = ClusterSimulator(model.config, ClusterConfig(
+            num_nodes=1,
+            layout=ReplicaLayout(1, self.config.tensor_parallel),
+            serving=self.config,
+            routing=RoutingConfig(max_outstanding_per_replica=math.inf)),
+            model=model)
+        replica = self.fleet.replicas[0]
+        if cost_model is not None:
+            replica.cost = cost_model
+        self.pool = replica.pool
+        self.scheduler = replica.scheduler
+        self.packed = replica.executor.packed
+        self.cost = replica.cost
+        self.prefix_cache = replica.prefix_cache
 
-    def _shed_reason(self, req: Request) -> str | None:
-        """Admission-control verdict for an arriving request."""
-        core = self.core
-        sched = core.scheduler
-        overload = self.config.overload
-        policy = overload.shed_policy
-        if policy == "deadline-estimate":
-            if req.deadline_s is None:
-                return None
-            eta = estimate_backlog_eta(
-                self.cost, sched.waiting + sched.running, req,
-                sched.config.max_batch_size)
-            if core.clock + overload.estimate_margin * eta > req.deadline_s:
-                return "deadline-unattainable"
-            return None
-        if policy == "bounded-queue":
-            if len(sched.waiting) >= overload.max_queue_depth:
-                return "queue-full"
-            return None
-        if policy == "priority":
-            if len(sched.waiting) < overload.max_queue_depth:
-                return None
-            if req.tier == "batch":
-                return "queue-full"
-            # Interactive arrival at a full queue: displace the
-            # youngest queued batch-tier request instead.
-            for victim in reversed(sched.waiting):
-                if victim.tier == "batch":
-                    sched.waiting.remove(victim)
-                    self._shed(victim, "priority-evict")
-                    return None
-            return "queue-full"
-        return None
-
-    def _shed(self, req: Request, reason: str) -> None:
-        core = self.core
-        core._note(req, "shed")
-        self._shed_records.append(ShedRequest(
-            request_id=req.request_id, arrival=req.arrival_time,
-            shed_at=core.clock, policy=self.config.overload.shed_policy,
-            reason=reason, tier=req.tier, prompt_len=req.prompt_len,
-            deadline=req.deadline_s))
-
-    # ------------------------------------------------------------------
     def run(self, requests: list[Request]) -> ServeResult:
         """Serve the workload to completion; returns records + metrics."""
-        core = self.core
-        core.validate(requests)
-        pending = sorted(requests, key=lambda r: (r.arrival_time,
-                                                  r.request_id))
-        shedding = self.config.overload.shedding
-        # A fresh run on the same pool, scheduler, and prefix cache.
-        core.clock = 0.0
-        core._steps = 0
-        core.records, core.timeline, core.events = [], [], []
-        core.trace = []
-        core.spec_steps = core.draft_proposed = core.draft_accepted = 0
-        core.deadline_checks = any(r.deadline_s is not None
-                                   for r in requests)
-        self._shed_records = []
-        timeout_records: list[TimedOutRequest] = []
-
-        index = 0
-        while index < len(pending) or core.busy:
-            while index < len(pending) \
-                    and pending[index].arrival_time <= core.clock:
-                req = pending[index]
-                index += 1
-                core._note(req, "arrive")
-                if shedding:
-                    reason = self._shed_reason(req)
-                    if reason is not None:
-                        self._shed(req, reason)
-                        continue
-                core.scheduler.submit(req)
-            if not core.busy:
-                if index < len(pending):
-                    # Idle: jump to the next arrival.
-                    core.clock = max(core.clock,
-                                     pending[index].arrival_time)
-                continue
-            core.step()
-            timeout_records += core.timeouts
-            core.timeouts.clear()
-
-        records = core.records
-        shed_records = self._shed_records
-        # No silent drop: every submitted request completed, was shed,
-        # or timed out — exactly one of the three.
-        if len(records) + len(shed_records) + len(timeout_records) \
-                != len(requests):
-            raise RuntimeError(
-                f"request accounting broke: {len(records)} completed + "
-                f"{len(shed_records)} shed + {len(timeout_records)} "
-                f"timed out != {len(requests)} submitted")
+        fleet = self.fleet.run(requests)
         by_id = {r.request_id: r for r in requests}
         outputs = {rec.request_id: np.array(by_id[rec.request_id].output,
                                             dtype=np.int64)
-                   for rec in records}
-        cache = self.prefix_cache
-        metrics = ServingMetrics.from_records(
-            records, core.timeline, makespan=core.clock,
-            peak_pool_utilization=self.pool.peak_utilization,
-            preemptions=self.scheduler.total_preemptions,
-            cache=cache.stats if cache is not None else None,
-            shed=len(shed_records), timed_out=len(timeout_records),
-            deadline_total=sum(1 for r in requests
-                               if r.deadline_s is not None),
-            spec_steps=core.spec_steps,
-            draft_proposed=core.draft_proposed,
-            draft_accepted=core.draft_accepted)
-        records.sort(key=lambda r: r.request_id)
-        lanes = {"engine": {f"replica (TP={self.cost.tp})": core.events}}
-        return ServeResult(records=records, metrics=metrics,
-                           trace=core.trace, outputs=outputs, lanes=lanes,
-                           shed_records=shed_records,
-                           timeout_records=timeout_records)
+                   for rec in fleet.records}
+        return ServeResult(records=fleet.records, metrics=fleet.metrics,
+                           shed_records=fleet.shed_records,
+                           timeout_records=fleet.timeout_records,
+                           outputs=outputs, lanes=fleet.lanes)
 
 
 def run_sequential(model, requests: list[Request],

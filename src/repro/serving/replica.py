@@ -1,9 +1,9 @@
 """One serving replica: the continuous-batching state machine.
 
 :class:`ReplicaServer` is the only implementation of the serving rules.
-:class:`~repro.serving.ServingEngine` runs it over the real NumPy model,
-and every replica of :class:`~repro.serving.cluster.ClusterSimulator`
-runs it on sentinel tokens.  The rules it owns:
+Every replica of :class:`~repro.serving.cluster.ClusterSimulator` runs
+it, and :class:`~repro.serving.ServingEngine` is a one-replica fleet.
+The rules it owns:
 
 - admission, degradation, and prefix-cache admission;
 - monolithic and chunked prefill;
@@ -12,8 +12,10 @@ runs it on sentinel tokens.  The rules it owns:
 - step pricing through the decode cost model;
 - deadline cancellation, finish bookkeeping, and the timeline.
 
-What differs between the two systems is the token work, which an
-*executor* performs.  An executor has these members:
+What differs between replicas is the token work, which an *executor*
+performs: :class:`~repro.serving.engine.NumericExecutor` runs the real
+NumPy model, and :class:`~repro.serving.cluster.TimingExecutor` decodes
+sentinel tokens.  An executor has these members:
 
 ``packed``
     The packed KV pool the prefix cache copies real KV out of, or
@@ -43,8 +45,8 @@ Only an executor that leases slots creates slots or snapshots, so a
 timing-level executor needs neither method.
 
 Roles, KV import, slow windows, and the breaker and fault hooks serve
-the cluster; a replica the engine drives keeps them at their inert
-defaults.
+disaggregated and faulted fleets; a colocated, fault-free replica (the
+engine's) keeps them at their inert defaults.
 """
 
 from __future__ import annotations
@@ -117,11 +119,6 @@ class ReplicaServer:
         self.records: list[RequestRecord] = []
         self.timeline: list[TimelineSample] = []
         self.events: list[TraceEvent] = []
-        #: the engine's ``(clock, kind, request_id)`` log, or None.
-        #: When set, speculative steps also trace per-request outcomes;
-        #: cluster replicas leave it off, keeping fleet runs' memory
-        #: to the lane events.
-        self.trace: list[tuple[float, str, int]] | None = None
         self._steps = 0
         # -- overload state (inert defaults; `OverloadConfig()` keeps
         #    every branch below cold so the default path stays
@@ -210,8 +207,6 @@ class ReplicaServer:
         """Record an instant of ``req``'s lifecycle at the clock."""
         self.events.append(TraceEvent(f"req{req.request_id}/{stage}",
                                       self.clock, 0.0, stage, "io"))
-        if self.trace is not None:
-            self.trace.append((self.clock, stage, req.request_id))
 
     def _fault_event(self, stage: str, start: float,
                      duration: float = 0.0) -> None:
@@ -376,8 +371,6 @@ class ReplicaServer:
     def _finish(self, request: Request) -> None:
         self._release(request)
         self.scheduler.finish(request, self.clock)
-        if self.trace is not None:
-            self.trace.append((self.clock, "finish", request.request_id))
         self._event(request.request_id, "decode", request.first_token_time,
                     self.clock - request.first_token_time)
         self._event(request.request_id, "finish", self.clock)
@@ -467,9 +460,6 @@ class ReplicaServer:
             self.executor.restore(req)
             self.clock = start + duration
             self._event(req.request_id, "kv-restore", start, duration)
-            if self.trace is not None:
-                self.trace.append((self.clock, "kv-restore",
-                                   req.request_id))
             return
         if self._cache_allowed(req):
             cache = self.prefix_cache
@@ -646,7 +636,7 @@ class ReplicaServer:
             if stretch != 1.0:
                 step_s *= stretch
         self.clock += step_s
-        if k_eff >= 1 and self.trace is not None:
+        if k_eff >= 1:
             for req, acc in zip(survivors, accepted):
                 stage = "spec-accept" if acc == k_eff else "spec-reject"
                 self._event(req.request_id, stage, start,

@@ -197,10 +197,10 @@ class ServingResultBase:
 class ServeResult(ServingResultBase):
     """Everything one single-engine serving run produced."""
 
-    trace: list[tuple[float, str, int]] = field(default_factory=list)
     outputs: dict[int, np.ndarray] = field(default_factory=dict)
-    #: process -> lane -> lifecycle events (Chrome-trace shaped), same
-    #: layout as :attr:`ClusterResult.lanes` so both export identically
+    #: process -> lane -> lifecycle events (Chrome-trace shaped): the
+    #: engine's one-replica fleet lanes, ``cluster/router`` and
+    #: ``node0/replica0 (TP=n)``, exactly as :attr:`ClusterResult.lanes`
     lanes: dict[str, dict[str, list[TraceEvent]]] = field(
         default_factory=dict)
 

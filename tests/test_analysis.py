@@ -346,6 +346,24 @@ class TestLintCLI:
         for rule in all_checkers():
             assert rule in out
 
+    def test_named_file_is_linted_against_its_tree(self, capsys):
+        # The file's tree (src/, the nearest directory without an
+        # __init__.py) is indexed, so its __all__ names keep their
+        # importers; only the named file is reported.
+        assert main(["lint", "src/repro/faults/model.py"]) == 0
+        out = capsys.readouterr().out
+        assert "RPR009" not in out
+        assert out.strip().endswith("in 1 file(s)")
+
+    def test_named_file_still_reports_a_dead_export(self, tmp_path,
+                                                    capsys):
+        lone = tmp_path / "mod.py"
+        lone.write_text('__all__ = ["dead"]\n\n\ndef dead():\n'
+                        "    return 1\n")
+        assert main(["lint", str(lone)]) == 1
+        out = capsys.readouterr().out
+        assert "RPR009" in out and "'dead'" in out
+
     def test_repo_tree_is_clean_against_shipped_baseline(self):
         # The dogfooding guarantee: `repro lint src/` exits 0 as shipped.
         assert main(["lint", "src", "--baseline",

@@ -239,6 +239,8 @@ class TestEngineShedding:
         assert res.shed_records
         assert all(s.reason == "queue-full" for s in res.shed_records)
         assert all(s.policy == "bounded-queue" for s in res.shed_records)
+        # Judged at the arrival time, like every policy.
+        assert all(s.shed_at == s.arrival for s in res.shed_records)
         assert len(res.records) + len(res.shed_records) == 24
 
     def test_deadline_estimate_sheds_unattainable_at_arrival(self, model):
@@ -249,9 +251,9 @@ class TestEngineShedding:
         assert res.shed_records
         assert all(s.reason == "deadline-unattainable"
                    for s in res.shed_records)
-        # Shed at the step boundary that first sees the arrival, before
-        # any prefill work is invested.
-        assert all(s.shed_at >= s.arrival for s in res.shed_records)
+        # Shed at the arrival itself, before any prefill work is
+        # invested.
+        assert all(s.shed_at == s.arrival for s in res.shed_records)
 
     def test_deadline_estimate_ignores_undated_requests(self, model):
         overload = OverloadConfig(shed_policy="deadline-estimate")
@@ -269,7 +271,13 @@ class TestEngineShedding:
         assert res.shed_records
         evicted = [s for s in res.shed_records
                    if s.reason == "priority-evict"]
-        assert all(s.tier == "batch" for s in evicted)
+        assert evicted and all(s.tier == "batch" for s in evicted)
+        # A refused arrival is shed at its own arrival time, an evicted
+        # request at its interactive evictor's.
+        evictors = {r.arrival_time for r in reqs if r.tier == "interactive"}
+        assert all(s.shed_at in evictors for s in evicted)
+        assert all(s.shed_at == s.arrival for s in res.shed_records
+                   if s.reason == "queue-full")
         batch_shed = sum(1 for s in res.shed_records if s.tier == "batch")
         assert batch_shed >= len(res.shed_records) - batch_shed
 
@@ -466,6 +474,28 @@ class TestClusterOverload:
         assert data["max_queue_depth"] <= 4
         assert data["queue_depth_series"]
         assert "breaker_trips" in data
+
+    @pytest.mark.parametrize("policy", ["bounded-queue", "priority"])
+    def test_queue_cap_bounds_the_replica_queue(self, policy):
+        """With the backpressure cap (32) above the queue cap (4) no
+        request waits at the router: each arrival would join its
+        replica's waiting queue, and the shed policy bounds that one."""
+        tiny = preset("tiny-llama")
+        sim = ClusterSimulator(tiny, ClusterConfig(
+            num_nodes=1, layout=ReplicaLayout(replicas_per_node=2, tp=1),
+            routing=RoutingConfig(max_outstanding_per_replica=32),
+            serving=ServingConfig(max_batch_size=2, overload=OverloadConfig(
+                shed_policy=policy, max_queue_depth=4))))
+        res = sim.run(synthesize_workload(WorkloadConfig(
+            num_requests=64, arrival_rate=2000.0, batch_fraction=0.5,
+            seed=3), tiny))
+        assert res.shed_records
+        assert res.max_queue_depth == 0
+        assert res.metrics.peak_queue_depth <= 4
+        assert len(res.records) + len(res.shed_records) == 64
+        if policy == "priority":
+            assert any(s.reason == "priority-evict"
+                       for s in res.shed_records)
 
     def test_priority_evicts_queued_batch_work(self):
         _, res = run_cluster(

@@ -1,11 +1,14 @@
-"""The replica core that ServingEngine and ClusterSimulator share.
+"""The replica core and router loop that ServingEngine and
+ClusterSimulator share.
 
-Both systems run every serving rule through one ``ReplicaServer``; only
-the executor differs (the NumPy model vs sentinel tokens).  These tests
-pin that the two agree request for request, and guard two rules that
-were once wrong in one copy or both: the chunked-prefill preemption
-livelock and the empty-batch guard after a round whose requests all
-finished at prefill.
+The engine is a one-replica fleet: both systems run one router loop and
+every serving rule through one ``ReplicaServer``; only the executor
+differs (the NumPy model vs sentinel tokens).  These tests pin that the
+two executors agree request for request, that a multi-replica fleet of
+the numeric executor decodes exactly what ``GPTModel.generate`` does,
+and guard two rules that were once wrong in one copy or both: the
+chunked-prefill preemption livelock and the empty-batch guard after a
+round whose requests all finished at prefill.
 """
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultConfig
 from repro.models import GPTModel, preset
 from repro.serving import (ClusterConfig, ClusterSimulator, OverloadConfig,
                            ReplicaLayout, Request, RoutingConfig,
@@ -37,9 +41,9 @@ def one_replica(model_config, serving, num_requests):
         serving=serving))
 
 
-def poisson(config, n=60, seed=0, **kw):
+def poisson(config, n=60, seed=0, rate=3000.0, **kw):
     return synthesize_workload(WorkloadConfig(
-        num_requests=n, arrival_rate=3000.0, seed=seed, **kw), config)
+        num_requests=n, arrival_rate=rate, seed=seed, **kw), config)
 
 
 def shared_prompt_requests(n, prompt_len):
@@ -50,10 +54,12 @@ def shared_prompt_requests(n, prompt_len):
 
 
 class TestEngineMatchesOneTimingReplica:
-    """A ``ServingEngine`` and a one-replica ``ClusterSimulator`` given
-    the same ``ServingConfig`` and requests produce identical
-    ``RequestRecord``s: admit, first-token and finish times,
-    preemptions, output lengths, and degradation.
+    """The two executors on one loop: a ``ServingEngine`` (a one-replica
+    fleet with the numeric executor) and a one-replica timing
+    ``ClusterSimulator`` given the same ``ServingConfig`` and requests
+    run the same router loop and produce identical ``RequestRecord``s:
+    admit, first-token and finish times, preemptions, output lengths,
+    and degradation.
 
     Two features legitimately differ, so they are not compared here:
 
@@ -103,6 +109,40 @@ class TestEngineMatchesOneTimingReplica:
         assert sorted(engine.timeout_records, key=key) \
             == cluster.timeout_records
         assert engine.records, "the case must complete some requests"
+
+
+class TestNumericFleet:
+    """``ClusterSimulator(model=...)``: every replica decodes real
+    tokens, so a fleet's greedy outputs equal ``GPTModel.generate``,
+    also when failover re-prefills requests on another replica."""
+
+    @pytest.fixture(scope="class")
+    def tiny_model(self):
+        return GPTModel(TINY, seed=0)
+
+    @pytest.mark.parametrize("faults", [
+        None, FaultConfig(mtbf_hours=0.00005, seed=3)],
+        ids=["plain", "failover"])
+    def test_greedy_outputs_match_generate(self, tiny_model, faults):
+        requests = poisson(TINY, n=40, seed=1, rate=300.0)
+        result = ClusterSimulator(TINY, ClusterConfig(
+            num_nodes=1, layout=ReplicaLayout(replicas_per_node=2, tp=1),
+            faults=faults), model=tiny_model).run(requests)
+        assert len(result.records) == len(requests)
+        assert {node_replica[1] for node_replica
+                in result.assignments.values()} == {0, 1}
+        assert (result.retries_total > 0) == (faults is not None)
+        for req in requests:
+            expected = tiny_model.generate(
+                req.prompt, req.max_new_tokens,
+                use_cache=True)[req.prompt_len:]
+            np.testing.assert_array_equal(req.output, expected)
+
+    def test_disaggregated_layout_raises(self, tiny_model):
+        with pytest.raises(ValueError, match="disaggregated"):
+            ClusterSimulator(TINY, ClusterConfig(
+                num_nodes=1, layout=ReplicaLayout.from_label("1P1DxTP1")),
+                model=tiny_model)
 
 
 class TestChunkedPrefillLivelock:

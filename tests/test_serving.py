@@ -276,12 +276,20 @@ class TestEngine:
         assert result.metrics.num_requests == 20
         assert result.metrics.peak_pool_utilization == 1.0
 
+    def test_engine_serves_one_run(self, model):
+        """Like the one-replica fleet it runs on, an engine serves one
+        run: its replica keeps the first run's records and clock."""
+        engine = ServingEngine(model)
+        engine.run(make_workload(model, n=4))
+        with pytest.raises(RuntimeError, match="already served a run"):
+            engine.run(make_workload(model, n=4))
+
     def test_trace_and_metrics_deterministic(self, model):
         runs = []
         for _ in range(2):
             reqs = make_workload(model, n=16, seed=5)
             runs.append(ServingEngine(model).run(reqs))
-        assert runs[0].trace == runs[1].trace
+        assert runs[0].lanes == runs[1].lanes
         assert runs[0].metrics == runs[1].metrics
 
     def test_eos_stops_requests_early(self, model):
@@ -523,8 +531,9 @@ class TestEngineLifecycleTrace:
 
     def test_lanes_cover_every_request_lifecycle(self, model):
         result = self.run_engine(model)
-        (lanes,) = result.lanes.values()          # one process: "engine"
-        (events,) = lanes.values()                # one replica lane
+        # The router lane carries arrivals, the replica lane the rest.
+        events = result.lanes["cluster"]["router"] \
+            + result.lanes["node0"]["replica0 (TP=1)"]
         stages = {}
         for event in events:
             req, stage = event.name.split("/")
@@ -536,7 +545,7 @@ class TestEngineLifecycleTrace:
 
     def test_spans_match_record_timings(self, model):
         result = self.run_engine(model)
-        (events,) = next(iter(result.lanes.values())).values()
+        events = result.lanes["node0"]["replica0 (TP=1)"]
         by_record = {r.request_id: r for r in result.records}
         for event in events:
             req_id = int(event.name.split("/")[0][len("req"):])
@@ -553,14 +562,13 @@ class TestEngineLifecycleTrace:
         path = result.save_trace(tmp_path / "engine-trace")
         doc = json.loads(path.read_text())
         names = {e["name"] for e in doc["traceEvents"]}
-        assert "engine" in {e["args"]["name"] for e in doc["traceEvents"]
-                            if e["name"] == "process_name"}
+        assert {"cluster", "node0"} <= {
+            e["args"]["name"] for e in doc["traceEvents"]
+            if e["name"] == "process_name"}
         assert any(n.startswith("req") and n.endswith("/prefill")
                    for n in names)
 
     def test_trace_is_deterministic_under_seed(self, model):
         a = self.run_engine(model)
         b = self.run_engine(model)
-        lane_a = next(iter(a.lanes.values()))
-        lane_b = next(iter(b.lanes.values()))
-        assert lane_a == lane_b
+        assert a.lanes == b.lanes

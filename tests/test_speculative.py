@@ -387,7 +387,7 @@ class TestSpecEngineUnderPressure:
         assert m.acceptance_rate == pytest.approx(
             m.draft_accepted / m.draft_proposed)
         stages = {e.name.split("/", 1)[1]
-                  for lane in result.lanes["engine"].values()
+                  for lane in result.lanes["node0"].values()
                   for e in lane if "/" in e.name}
         assert stages & {"spec-accept", "spec-reject"}
         rows = dict(m.rows())
