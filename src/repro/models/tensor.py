@@ -3,8 +3,11 @@
 This is the numerical substrate on which the GPT-NeoX / LLaMA transformer
 variants are built.  The design follows the classic define-by-run tape:
 each :class:`Tensor` records the operation that produced it as a backward
-closure, and :meth:`Tensor.backward` runs the closures in reverse
-topological order.
+function of its output node, and :meth:`Tensor.backward` calls each with
+its node in reverse topological order.  A backward function closes over
+the op's inputs, never its output, so a graph holds no reference cycle:
+reference counting frees it as soon as the loss and the caller's
+intermediates go, without waiting for the cyclic collector.
 
 Only the operations needed by the transformer stack are implemented, but
 each supports full NumPy broadcasting with correct gradient reduction.
@@ -80,7 +83,7 @@ class Tensor:
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Tensor], None] | None = None
         self._prev: tuple[Tensor, ...] = ()
         self.name = name
 
@@ -135,7 +138,7 @@ class Tensor:
         if _GRAD_ENABLED and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._prev = tuple(parents)
-            out._backward = (lambda: backward(out)) if backward else None
+            out._backward = backward
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -179,7 +182,7 @@ class Tensor:
 
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node)
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -451,7 +454,7 @@ class Tensor:
         if _GRAD_ENABLED and any(t.requires_grad for t in tensors):
             result.requires_grad = True
             result._prev = tuple(tensors)
-            result._backward = lambda: backward(result)
+            result._backward = backward
         return result
 
     # ------------------------------------------------------------------

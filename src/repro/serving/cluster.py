@@ -91,7 +91,8 @@ from .kv_pool import PagedKVPool
 from .metrics import ServingMetrics
 from .replica import REPLICA_ROLES, ReplicaServer
 from .results import (FailedRequest, ServingResultBase, ShedRequest,
-                      TimedOutRequest, TransferRecord, slo_availability)
+                      TimedOutRequest, TransferRecord, record_timeout,
+                      slo_availability)
 from .scheduler import Request, estimate_backlog_eta
 from .transfer import KVTransferModel
 
@@ -302,14 +303,14 @@ class ClusterResult(ServingResultBase):
     policy: str = ""
     num_nodes: int = 0
     layout: str = ""
-    #: request id -> (node index, replica index)
+    #: request id -> (node, replica) it was last routed to, completed or not
     assignments: dict[int, tuple[int, int]] = field(default_factory=dict)
     #: arrivals that hit cluster-level backpressure before routing
     queued_requests: int = 0
     #: process -> lane -> lifecycle events (Chrome-trace shaped)
     lanes: dict[str, dict[str, list[TraceEvent]]] = field(
         default_factory=dict)
-    #: requests submitted to the cluster (completed + failed, always)
+    #: submitted requests = completed + failed + shed + timed out
     submitted: int = 0
     #: requests abandoned after exhausting their failover retries
     failed_records: list[FailedRequest] = field(default_factory=list)
@@ -338,13 +339,6 @@ class ClusterResult(ServingResultBase):
         default_factory=list)
     #: circuit-breaker trips summed over all replicas
     breaker_trips: int = 0
-
-    def per_node_requests(self) -> dict[int, int]:
-        """Completed-request count per node index."""
-        counts: dict[int, int] = {}
-        for node, _replica in self.assignments.values():
-            counts[node] = counts.get(node, 0) + 1
-        return counts
 
     def save_trace(self, path: str | Path) -> Path:
         """Export the lifecycle trace as Chrome JSON (one track per node)."""
@@ -592,6 +586,14 @@ class ClusterSimulator:
                 return replica
         return None
 
+    def _live(self) -> bool:
+        """Whether a request is queued, in flight, or on a replica (a dead
+        one holds its requests until its pending detection fires)."""
+        return bool(self._pending or self._deferred or self._transfers
+                    or self._laggard() is not None
+                    or any(self.replicas[flat].busy
+                           for _, _, flat in self._detections))
+
     # -- overload: shedding, timeout bookkeeping, queue depth -----------
     def _sample_queue(self, now: float) -> None:
         """Record the cluster queue depth when it changes.
@@ -608,22 +610,13 @@ class ClusterSimulator:
         elif self._queue_series[-1][1] != depth:
             self._queue_series.append((now, depth))
 
-    def _timeout_router(self, req: Request, now: float,
-                        stage: str) -> None:
-        """Record a deadline cancellation decided at the router."""
-        self._timed_out.append(TimedOutRequest(
-            request_id=req.request_id, arrival=req.arrival_time,
-            deadline=req.deadline_s, cancelled_at=now, stage=stage,
-            prompt_len=req.prompt_len, output_len=len(req.output)))
-        self._router_events.append(TraceEvent(
-            f"req{req.request_id}/timeout", now, 0.0, "timeout", "io"))
-
     def _expire_pending(self, now: float) -> None:
         """Drop cluster-queued requests whose deadline already passed."""
         kept = []
         for req in self._pending:
             if req.deadline_s is not None and now > req.deadline_s:
-                self._timeout_router(req, now, "queued")
+                record_timeout(self._timed_out, self._router_events, req,
+                               now, "queued")
             else:
                 kept.append(req)
         self._pending = kept
@@ -748,16 +741,11 @@ class ClusterSimulator:
         """Turn ``src``'s completed prefills into in-flight KV transfers.
 
         Called after every replica step with the replica that stepped,
-        the only one whose outbox or cancellations can have grown: each
-        outbox entry picks a decode replica, is priced through
-        :class:`KVTransferModel` (Slingshot across nodes, Infinity Fabric
-        within one), and joins the transfer heap to be delivered at
-        ``handoff + duration``.  The step's deadline cancellations are
-        drained here too.
+        the only one whose outbox can have grown: each outbox entry picks
+        a decode replica, is priced through :class:`KVTransferModel`
+        (Slingshot across nodes, Infinity Fabric within one), and joins
+        the transfer heap to be delivered at ``handoff + duration``.
         """
-        if self._has_deadlines and src.timeouts:
-            self._timed_out += src.timeouts
-            src.timeouts.clear()
         if not src.outbox:
             return
         entries, src.outbox = src.outbox, []
@@ -776,7 +764,8 @@ class ClusterSimulator:
                     > req.deadline_s:
                 # Dead on arrival: cancel the pending shipment instead
                 # of burning wire time on doomed KV.
-                self._timeout_router(req, ready, "handoff")
+                record_timeout(self._timed_out, self._router_events, req,
+                               ready, "handoff")
                 continue
             duration = self.transfer_model.transfer_time(
                 tokens, same_node=same_node)
@@ -889,14 +878,16 @@ class ClusterSimulator:
     def _event_loop(self, arrivals: list[Request]) -> int:
         """Route arrivals through the fault process; returns queued.
 
-        The router's next event is the earliest of: arrival, health-check
-        detection, replica recovery, retry-backoff expiry, KV-transfer
-        delivery, and (breaker armed, requests queued) an open breaker
-        half-opening.  Fault onsets at or before that instant are
-        applied first (each takes effect at its victim's next step
-        boundary), so no replica ever computes past an unapplied fault.
-        A fault-free cluster replays an empty fault stream: nothing
-        dies, so only arrivals and KV deliveries remain as events.
+        Runs while an arrival is left or a request is live.  The router's
+        next event is the earliest of: arrival, health-check detection,
+        replica recovery, retry-backoff expiry, KV-transfer delivery, and
+        (breaker armed, requests queued) an open breaker half-opening.
+        Fault onsets at or before that instant are applied first (each
+        takes effect at its victim's next step boundary), so no replica
+        computes past an unapplied fault, and onsets up to the router
+        event after the last outcome are still recorded.  A fault-free
+        cluster replays an empty fault stream: only arrivals and KV
+        deliveries remain as events.
         """
         fm = FaultModel(self.config.faults or FaultConfig(),
                         len(self.replicas),
@@ -905,7 +896,7 @@ class ClusterSimulator:
         fo = self.config.failover
         queued = 0
         index = 0  # next arrival
-        while True:
+        while index < len(arrivals) or self._live():
             t_arrive = arrivals[index].arrival_time \
                 if index < len(arrivals) else math.inf
             t_detect = self._detections[0][0] \
@@ -943,6 +934,8 @@ class ClusterSimulator:
             t_router = self._advance_replicas(t_router)
             self._router_clock = max(self._router_clock, t_router)
             self._dispatch_pending()
+            if index == len(arrivals) and not self._live():
+                break  # the advance finished the work
 
             # Equal-time ties resolve detection -> recovery -> delivery
             # -> retry -> arrival: a router must notice a death before
@@ -1089,9 +1082,9 @@ class ClusterSimulator:
         ``stage`` names where the request was when its replica (or its
         KV transfer's destination) died, for the timeout record.
         """
-        if self._has_deadlines and req.deadline_s is not None \
-                and now > req.deadline_s:
-            self._timeout_router(req, now, stage)
+        if req.deadline_s is not None and now > req.deadline_s:
+            record_timeout(self._timed_out, self._router_events, req, now,
+                           stage)
             return
         retry = self.config.failover.retry
         if req.retries >= retry.max_retries:
@@ -1117,7 +1110,9 @@ class ClusterSimulator:
                          key=lambda rec: rec.request_id)
         failed = sorted(self._failed, key=lambda f: f.request_id)
         shed = sorted(self._shed, key=lambda s: s.request_id)
-        timed_out = sorted(self._timed_out, key=lambda t: t.request_id)
+        timed_out = sorted(self._timed_out + [t for r in self.replicas
+                                              for t in r.timeouts],
+                           key=lambda t: t.request_id)
         if len(records) + len(failed) + len(shed) + len(timed_out) \
                 != submitted:
             raise RuntimeError(  # pragma: no cover — simulator invariant

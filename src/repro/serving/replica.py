@@ -57,7 +57,7 @@ from ..profiling.tracer import TraceEvent
 from .config import ServingConfig
 from .kv_pool import PagedKVPool
 from .metrics import RequestRecord, TimelineSample
-from .results import TimedOutRequest
+from .results import TimedOutRequest, record_timeout
 from .scheduler import (RUNNING, ContinuousBatchScheduler, Request,
                         apply_degradation, next_prefill_target)
 
@@ -126,8 +126,7 @@ class ReplicaServer:
         self.overload = serving.overload
         #: set by the owner when any request carries a deadline
         self.deadline_checks = False
-        #: deadline cancellations — drained by the owner after every
-        #: step, like the outbox
+        #: deadline cancellations; the owner gathers them with the records
         self.timeouts: list[TimedOutRequest] = []
         self.breaker = CircuitBreaker(
             self.overload.breaker_cooldown_s,
@@ -237,22 +236,15 @@ class ReplicaServer:
             req.degraded and self.overload.degrade_bypass_cache)
 
     # -- overload hooks -------------------------------------------------
-    def _timeout(self, req: Request, stage: str) -> None:
-        self._note(req, "timeout")
-        self.timeouts.append(TimedOutRequest(
-            request_id=req.request_id, arrival=req.arrival_time,
-            deadline=req.deadline_s, cancelled_at=self.clock, stage=stage,
-            prompt_len=req.prompt_len, output_len=len(req.output)))
-
     def _cancel_timeouts(self) -> None:
         """Cancel expired requests, unwinding every piece of held state.
 
         Runs at each step boundary (cancellation granularity matches the
         simulation's time granularity): queued requests just leave the
         queue; running ones additionally release their pool allocation,
-        cache lease, and executor state.  Requests parked in the outbox
-        already freed all of it at handoff — only the pending shipment
-        is dropped.
+        cache lease, and executor state.  The outbox is empty here: the
+        owner drains it after every step, and the router cancels a
+        handoff whose KV cannot arrive in time.
         """
         now = self.clock
         sched = self.scheduler
@@ -263,7 +255,7 @@ class ReplicaServer:
             self._release(req)
             stage = "decode" if req.prefill_pos >= req.prompt_len \
                 else "queued"
-            self._timeout(req, stage)
+            record_timeout(self.timeouts, self.events, req, now, stage)
         expired = [r for r in sched.running
                    if r.deadline_s is not None and now > r.deadline_s]
         for req in expired:
@@ -272,15 +264,7 @@ class ReplicaServer:
             self._release(req)
             stage = "prefill" if req.prefill_pos < req.prompt_len \
                 else "decode"
-            self._timeout(req, stage)
-        if self.outbox:
-            kept = []
-            for req, ready in self.outbox:
-                if req.deadline_s is not None and now > req.deadline_s:
-                    self._timeout(req, "handoff")
-                else:
-                    kept.append((req, ready))
-            self.outbox = kept
+            record_timeout(self.timeouts, self.events, req, now, stage)
 
     def _breaker_event(self, transition: str, start: float) -> None:
         self.events.append(TraceEvent(

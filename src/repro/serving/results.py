@@ -20,10 +20,11 @@ import numpy as np
 from ..profiling.export import save_lanes_chrome_trace
 from ..profiling.tracer import TraceEvent
 from .metrics import RequestRecord, ServingMetrics
+from .scheduler import Request
 
 __all__ = ["FailedRequest", "ServingResultBase", "ServeResult",
            "ShedRequest", "TimedOutRequest", "TransferRecord",
-           "slo_availability"]
+           "record_timeout", "slo_availability"]
 
 #: Per-request quantities ``percentiles`` knows how to extract.
 _METRIC_FIELDS = ("ttft", "tpot", "latency")
@@ -116,6 +117,20 @@ class TimedOutRequest:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def record_timeout(records: list[TimedOutRequest], lane: list[TraceEvent],
+                   req: Request, now: float, stage: str) -> None:
+    """Write ``req``'s deadline cancellation at ``now``: its record into
+    ``records`` and its ``req{id}/timeout`` event into ``lane``."""
+    if stage not in TIMEOUT_STAGES:
+        raise ValueError(f"stage must be one of {TIMEOUT_STAGES}: {stage!r}")
+    records.append(TimedOutRequest(
+        request_id=req.request_id, arrival=req.arrival_time,
+        deadline=req.deadline_s, cancelled_at=now, stage=stage,
+        prompt_len=req.prompt_len, output_len=len(req.output)))
+    lane.append(TraceEvent(f"req{req.request_id}/timeout", now, 0.0,
+                           "timeout", "io"))
 
 
 @dataclass(frozen=True)

@@ -102,14 +102,16 @@ class TestClusterRun:
     def test_round_robin_spreads_evenly(self, config):
         # 32 requests over 2 nodes x 8 replicas: exactly 2 per replica.
         result = run_cluster(config, policy="round-robin", nodes=2, n=32)
-        assert result.per_node_requests() == {0: 16, 1: 16}
+        assert Counter(result.assignments.values()) == {
+            (node, replica): 2 for node in range(2) for replica in range(8)}
 
     def test_load_aware_policies_use_all_nodes(self, config):
         """Regression: a lowest-index tie-break used to funnel ties onto
         the first replicas and leave later nodes idle."""
         for policy in ("least-outstanding", "jskq"):
             result = run_cluster(config, policy=policy, nodes=4, n=80)
-            assert set(result.per_node_requests()) == {0, 1, 2, 3}
+            assert {node for node, _ in result.assignments.values()} == \
+                {0, 1, 2, 3}
 
     def test_tp8_layout_completes(self, config):
         result = run_cluster(

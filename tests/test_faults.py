@@ -327,6 +327,25 @@ class TestServingFailover:
         with pytest.raises(ValueError, match="surviving replicas"):
             sim.run(synthesize_workload(wl, model_config))
 
+    def test_fault_process_stops_with_the_work(self):
+        """The router loop ends with the last request, so no fault is
+        applied after it; the unbounded loop applied 23 failures here,
+        22 of them after the last finish (0.0196 s)."""
+        config = preset("tiny-llama")
+        cfg = ClusterConfig(num_nodes=1,
+                            layout=ReplicaLayout.from_label("2xTP1"),
+                            faults=FaultConfig(mtbf_hours=0.00005, seed=3))
+        res = ClusterSimulator(config, cfg).run(synthesize_workload(
+            WorkloadConfig(num_requests=40, arrival_rate=3000.0, seed=1),
+            config))
+        assert len(res.records) == res.submitted == 40
+        last = max(r.finish for r in res.records)
+        assert len(res.fault_events) == 1
+        assert all(e["time_s"] <= last for e in res.fault_events)
+        assert not [e for group in res.lanes.values()
+                    for events in group.values() for e in events
+                    if e.phase == "fault" and e.start_s > last]
+
     def test_result_to_dict_carries_fault_fields(self, model_config):
         data = run_faulted(model_config, 0.0002).to_dict()
         assert "availability" in data and "fault_events" in data

@@ -238,8 +238,9 @@ class TestEmbeddings:
 class TestFusionExperiment:
     def test_fusion_beats_structure_only(self, tokenizer, trained_gpt):
         """The core Table V claim at reduced scale (fusion never hurts;
-        at full benchmark scale it strictly improves, see
-        benchmarks/test_table5_bandgap.py)."""
+        at full scale it strictly improves, see the ``table5`` entry of
+        ``repro.core.experiments`` and its "+GPT beats every
+        structure-only model" claim)."""
         ds = generate_dataset(400, seed=0)
         train, test = ds.split(test_fraction=0.2, seed=0)
         enc = GraphEncoder()

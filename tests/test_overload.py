@@ -5,7 +5,9 @@ observability — and the bit-exactness contract that ``OverloadConfig()``
 defaults are a no-op for both the engine and the cluster."""
 
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,8 @@ from repro.serving import (SHED_POLICIES, ClusterConfig, ClusterSimulator,
                            WorkloadConfig, slo_availability,
                            synthesize_workload)
 from repro.serving.metrics import RequestRecord
-from repro.serving.results import TIMEOUT_STAGES
+from repro.serving.results import TIMEOUT_STAGES, record_timeout
+from repro.serving.scheduler import Request
 
 #: Overload knobs switched on but sized to never fire: runs under this
 #: config must be bit-identical to runs under the defaults.
@@ -91,6 +94,14 @@ def run_straggler_cluster():
         prompt_len_range=(128, 512), output_len_range=(16, 32),
         seed=3), CLUSTER_CFG))
     return sim, res
+
+
+def last_outcome(res):
+    """Virtual time of the last request outcome, of any of the four kinds."""
+    return max([r.finish for r in res.records]
+               + [f.failed_at for f in res.failed_records]
+               + [s.shed_at for s in res.shed_records]
+               + [t.cancelled_at for t in res.timeout_records])
 
 
 def assert_no_leaks(pool, scheduler, prefix_cache=None):
@@ -214,6 +225,20 @@ class TestEngineDeadlines:
         assert a.timeout_records == b.timeout_records
         assert [r.__dict__ for r in a.records] == \
             [r.__dict__ for r in b.records]
+
+    def test_timeout_writer_enforces_the_stage_catalog(self):
+        req = Request(request_id=7, prompt=np.arange(4), max_new_tokens=2,
+                      arrival_time=0.0, deadline_s=0.1)
+        records, lane = [], []
+        with pytest.raises(ValueError, match="stage must be one of"):
+            record_timeout(records, lane, req, 0.2, "kv-transfer")
+        assert records == [] and lane == []
+        record_timeout(records, lane, req, 0.2, "queued")
+        [t] = records
+        assert (t.request_id, t.cancelled_at, t.stage, t.deadline) == \
+            (7, 0.2, "queued", 0.1)
+        assert [(e.name, e.start_s, e.category) for e in lane] == \
+            [("req7/timeout", 0.2, "timeout")]
 
     def test_met_deadline_property(self):
         rec = RequestRecord(request_id=0, arrival=0.0, admit=0.0,
@@ -568,6 +593,13 @@ class TestChaosAccounting:
             assert_no_leaks(replica.pool, replica.scheduler,
                             replica.prefix_cache)
             assert not replica.outbox
+        # The fault process stops with the work: no health check or
+        # recovery is processed once every request has its outcome.
+        last = last_outcome(res)
+        assert not [e.name for group in res.lanes.values()
+                    for events in group.values() for e in events
+                    if e.category in ("detect", "recover")
+                    and e.start_s > last]
 
     @staticmethod
     def run_chaos(shed):
@@ -599,6 +631,22 @@ class TestChaosAccounting:
         assert len(res.records) + len(res.failed_records) \
             + len(res.shed_records) + len(res.timeout_records) == \
             res.submitted
+
+    def test_each_timeout_has_one_lane_event(self):
+        """Router and replica cancellations share one writer: every
+        record has exactly one ``timeout`` event, at its instant."""
+        res = self.run_chaos("deadline-estimate")
+        router = [e for e in res.lanes["cluster"]["router"]
+                  if e.category == "timeout"]
+        events = Counter((e.name, e.start_s)
+                         for group in res.lanes.values()
+                         for lane in group.values() for e in lane
+                         if e.category == "timeout")
+        assert router and len(router) < len(res.timeout_records)
+        assert sum(events.values()) == len(res.timeout_records)
+        for t in res.timeout_records:
+            assert events[(f"req{t.request_id}/timeout",
+                           t.cancelled_at)] == 1
 
     def test_arrivals_are_shed_while_faults_replay(self):
         res = self.run_chaos("bounded-queue")

@@ -1,5 +1,7 @@
 """Unit and property tests for the autograd engine."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,6 +220,24 @@ class TestGraphMechanics:
     def test_pow_rejects_tensor_exponent(self):
         with pytest.raises(TypeError):
             Tensor(np.ones(2)) ** Tensor(np.ones(2))
+
+    def test_graph_is_freed_without_the_cyclic_collector(self):
+        """No graph node refers to itself, so reference counting alone
+        frees a forward and backward once the loss is dropped."""
+        from repro.models import GPTModel, preset
+        from repro.models.transformer import cross_entropy
+        model = GPTModel(preset("tiny-llama"), seed=0)
+        ids = np.random.default_rng(0).integers(
+            0, model.config.vocab_size, size=(2, 9))
+        gc.collect()
+        gc.disable()
+        try:
+            loss = cross_entropy(model(ids[:, :-1]), ids[:, 1:])
+            loss.backward()
+            del loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @settings(max_examples=40, deadline=None)
