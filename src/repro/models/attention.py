@@ -25,7 +25,11 @@ exact raw-array kernel, ``CausalSelfAttention._attend_rows``, over row
 spans whose KV stores speak the :class:`KVCache` ``length`` / ``append``
 protocol.  The only other cached branch is flash decode, which pads the
 batch with :meth:`~repro.models.packed_kv.PackedKVPool.gather` and runs
-:func:`flash_decode_forward`.
+:func:`flash_decode_forward`.  The cached entry points take and return
+raw arrays: the projections run :meth:`~repro.models.layers.Linear.infer`,
+so a cached forward builds no :class:`Tensor`, while the Tensor
+:meth:`CausalSelfAttention.forward` serves training and the uncached
+evaluation paths.
 """
 
 from __future__ import annotations
@@ -316,10 +320,10 @@ class CausalSelfAttention(Module):
         merged = ctx.transpose(0, 2, 1, 3).reshape(batch, seq, self.hidden_size)
         return self.out_proj(merged)
 
-    def forward_cached(self, x: Tensor, cache: "KVCache") -> Tensor:
+    def forward_cached(self, x: np.ndarray, cache: "KVCache") -> np.ndarray:
         """Incremental attention of one row over its KV cache (inference).
 
-        ``x`` has shape (1, seq, hidden) and holds only the *new*
+        ``x`` is an array of shape (1, seq, hidden) holding only the *new*
         positions — a whole prompt, a prefill chunk, or one decode
         token; previously seen keys/values come from ``cache`` (a
         :class:`KVCache`, or a
@@ -335,8 +339,8 @@ class CausalSelfAttention(Module):
                 f"{x.shape[0]} rows")
         return self._attend_rows(x, [cache])
 
-    def forward_decode_batched(self, x: Tensor, pool, slots, layer: int
-                               ) -> Tensor:
+    def forward_decode_batched(self, x: np.ndarray, pool, slots, layer: int
+                               ) -> np.ndarray:
         """One decode position for N ragged-length requests, one forward.
 
         ``x`` has shape (batch, 1, hidden); row ``i`` is the latest token
@@ -356,8 +360,8 @@ class CausalSelfAttention(Module):
             padded=lambda length: pool.gather(layer, slots, length,
                                               reuse=True))
 
-    def forward_verify_batched(self, x: Tensor, pool, slots, layer: int
-                               ) -> Tensor:
+    def forward_verify_batched(self, x: np.ndarray, pool, slots, layer: int
+                               ) -> np.ndarray:
         """``span`` new positions for N ragged-length requests, one forward.
 
         The verification kernel of speculative decoding: ``x`` has shape
@@ -380,15 +384,19 @@ class CausalSelfAttention(Module):
             return x
         return np.concatenate([x] * groups, axis=1)
 
-    def _attend_rows(self, x: Tensor, stores, padded=None) -> Tensor:
+    def _attend_rows(self, x: np.ndarray, stores, padded=None
+                     ) -> np.ndarray:
         """The one cached-attention kernel: ``span`` new positions per row.
 
-        ``x`` has shape (rows, span, hidden); row ``i`` continues the
-        context held by ``stores[i]``, a KV store speaking the
-        ``length`` / ``append`` protocol of :class:`KVCache`, and each
-        row's span is appended to its store.  Rows are rotated at their
-        own offsets, then attended in groups of equal offset with the
-        exact op sequence: scale, a causal mask when ``span > 1``,
+        ``x`` is an array of shape (rows, span, hidden), and so is the
+        result: the Q/K/V and output projections run
+        :meth:`~repro.models.layers.Linear.infer`, bitwise equal to
+        :meth:`forward`'s, and no :class:`Tensor` is built.  Row ``i``
+        continues the context held by ``stores[i]``, a KV store speaking
+        the ``length`` / ``append`` protocol of :class:`KVCache`, and
+        each row's span is appended to its store.  Rows are rotated at
+        their own offsets, then attended in groups of equal offset with
+        the exact op sequence: scale, a causal mask when ``span > 1``,
         shift-by-max softmax, ``probs @ v``.  A group of one row attends
         straight over its store's views; a larger group stacks its rows'
         views.  Stacking equal lengths keeps every matmul slice the
@@ -404,7 +412,7 @@ class CausalSelfAttention(Module):
         heads, kv_heads = self.num_heads, self.num_kv_heads
         offsets = [store.length for store in stores]
         # (rows, heads + 2 * kv_heads, span, head_dim): Q, K, V heads.
-        qkv = (self.qkv(x).data
+        qkv = (self.qkv.infer(x)
                .reshape(rows, span, heads + 2 * kv_heads, self.head_dim)
                .transpose(0, 2, 1, 3))
         # Q and K heads rotate together, in one pass over one table.
@@ -450,9 +458,9 @@ class CausalSelfAttention(Module):
                 else:
                     ctx[rows_at] = probs @ v
 
-        merged = (Tensor(ctx).transpose(0, 2, 1, 3)
-                  .reshape(rows, span, self.hidden_size))
-        return self.out_proj(merged)
+        merged = ctx.transpose(0, 2, 1, 3).reshape(rows, span,
+                                                   self.hidden_size)
+        return self.out_proj.infer(merged)
 
 
 class KVCache:

@@ -4,6 +4,15 @@ The module system mirrors the familiar torch.nn API surface at a much
 smaller scale: a :class:`Module` owns named :class:`Parameter` leaves and
 child modules, exposes ``parameters()`` / ``named_parameters()``, and
 supports train/eval mode toggling (for dropout).
+
+Every module a cached forward reaches (:class:`Linear`,
+:class:`Embedding`, :class:`LayerNorm`, :class:`RMSNorm` and the MLPs)
+has two forwards.  ``forward`` runs on :class:`Tensor` and records the
+autograd graph; training runs it, and it is the reference.  ``infer``
+runs on raw arrays and repeats ``forward``'s NumPy ops in the same
+order, so its result is bitwise equal to ``forward(Tensor(x)).data``;
+prefill, batched decode and speculative verify run it and build no
+:class:`Tensor`.
 """
 
 from __future__ import annotations
@@ -133,6 +142,13 @@ class Linear(Module):
             out = out + self.bias
         return out
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a raw array (inference)."""
+        out = x @ self.weight.data
+        if self.bias is not None:
+            out += self.bias.data
+        return out
+
 
 class Embedding(Module):
     """Token-id → vector lookup table."""
@@ -146,12 +162,30 @@ class Embedding(Module):
         self.dim = dim
 
     def forward(self, token_ids: np.ndarray) -> Tensor:
+        return self.weight.embedding_lookup(self._checked(token_ids))
+
+    def infer(self, token_ids: np.ndarray) -> np.ndarray:
+        """:meth:`forward` returning the looked-up rows as an array."""
+        return self.weight.data[self._checked(token_ids)]
+
+    def _checked(self, token_ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(token_ids)
         if ids.min(initial=0) < 0 or ids.max(initial=0) >= self.num_embeddings:
             raise IndexError(
                 f"token id out of range [0, {self.num_embeddings}): "
                 f"min={ids.min()}, max={ids.max()}")
-        return self.weight.embedding_lookup(ids)
+        return ids
+
+
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """Mean over the last axis, rounded exactly as :meth:`Tensor.mean`.
+
+    ``sum * (1 / n)``, never ``ndarray.mean``: that one divides the sum
+    by ``n``, which differs in the last bit whenever ``n`` is not a
+    power of two (hidden 48, 100, 2304, ...), and the norms' ``infer``
+    must stay bitwise equal to their ``forward``.
+    """
+    return x.sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1])
 
 
 class LayerNorm(Module):
@@ -169,6 +203,13 @@ class LayerNorm(Module):
         var = x.var(axis=-1, keepdims=True)
         normed = (x - mu) / (var + self.eps).sqrt()
         return normed * self.weight + self.bias
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a raw array (inference)."""
+        centred = x - _row_mean(x)
+        var = _row_mean(centred ** 2)
+        normed = centred / np.sqrt(var + self.eps)
+        return normed * self.weight.data + self.bias.data
 
 
 class RMSNorm(Module):
@@ -188,6 +229,11 @@ class RMSNorm(Module):
     def forward(self, x: Tensor) -> Tensor:
         ms = (x * x).mean(axis=-1, keepdims=True)
         return x * ((ms + self.eps) ** -0.5) * self.weight
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a raw array (inference)."""
+        ms = _row_mean(x * x)
+        return x * ((ms + self.eps) ** -0.5) * self.weight.data
 
 
 class Dropout(Module):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .layers import Linear, Module
-from .tensor import Tensor
+from .tensor import Tensor, gelu, silu
 
 __all__ = ["GeluMLP", "SwiGLUMLP", "build_mlp"]
 
@@ -33,6 +33,10 @@ class GeluMLP(Module):
     def forward(self, x: Tensor) -> Tensor:
         return self.fc_out(self.fc_in(x).gelu())
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a raw array (inference)."""
+        return self.fc_out.infer(gelu(self.fc_in.infer(x))[0])
+
 
 class SwiGLUMLP(Module):
     """LLaMA feed-forward block: (SiLU(x·W_gate) ⊙ x·W_up) · W_down."""
@@ -47,6 +51,11 @@ class SwiGLUMLP(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.down_proj(self.gate_proj(x).silu() * self.up_proj(x))
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a raw array (inference)."""
+        return self.down_proj.infer(
+            silu(self.gate_proj.infer(x))[0] * self.up_proj.infer(x))
 
 
 def build_mlp(arch: str, hidden_size: int, ffn_hidden_size: int,

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "gelu", "silu"]
 
 _GRAD_ENABLED = True
 
@@ -58,6 +58,30 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+#: GELU's tanh-approximation constant, sqrt(2 / pi).
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU (tanh approximation) of an array, and its tanh term.
+
+    The one GELU formula: :meth:`Tensor.gelu` and the inference MLP
+    both call it, and the gradient reuses the tanh term.
+    """
+    t = np.tanh(_GELU_C * (x + 0.044715 * x ** 3))
+    return 0.5 * x * (1.0 + t), t
+
+
+def silu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SiLU (swish) of an array, and the sigmoid its gradient reuses.
+
+    The one SiLU formula: :meth:`Tensor.silu` and the inference MLP
+    both call it.
+    """
+    sig = 1.0 / (1.0 + np.exp(-x))
+    return x * sig, sig
 
 
 def _as_array(value, dtype=np.float64) -> np.ndarray:
@@ -325,14 +349,11 @@ class Tensor:
 
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit (tanh approximation, as in GPT-NeoX)."""
-        c = np.sqrt(2.0 / np.pi)
-        inner = c * (self.data + 0.044715 * self.data ** 3)
-        t = np.tanh(inner)
-        result = 0.5 * self.data * (1.0 + t)
+        result, t = gelu(self.data)
 
         def backward(out: Tensor) -> None:
             if self.requires_grad:
-                dinner = c * (1.0 + 3 * 0.044715 * self.data ** 2)
+                dinner = _GELU_C * (1.0 + 3 * 0.044715 * self.data ** 2)
                 dt = (1.0 - t ** 2) * dinner
                 local = 0.5 * (1.0 + t) + 0.5 * self.data * dt
                 self._accumulate(out.grad * local)
@@ -341,8 +362,7 @@ class Tensor:
 
     def silu(self) -> "Tensor":
         """Sigmoid linear unit (a.k.a. swish), used by LLaMA's SwiGLU MLP."""
-        sig = 1.0 / (1.0 + np.exp(-self.data))
-        result = self.data * sig
+        result, sig = silu(self.data)
 
         def backward(out: Tensor) -> None:
             if self.requires_grad:

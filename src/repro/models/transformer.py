@@ -57,20 +57,22 @@ class TransformerLayer(Module):
         x = x + self.dropout(self.mlp(self.norm2(x)))
         return x
 
-    def forward_inference(self, x: Tensor, attend) -> Tensor:
-        """Inference forward (no dropout) around an attention call.
+    def forward_inference(self, x: np.ndarray, attend) -> np.ndarray:
+        """Inference forward (no dropout) on arrays, around an attention call.
 
         ``attend(attn, h)`` runs this layer's attention module ``attn``
-        on the normed input ``h`` — cached prefill, batched decode or
-        verify.  Every other op here (norms, MLP, residual adds) is
-        row-local, so stacking N requests keeps each row bit-identical
-        to its own forward.
+        on the normed array ``h`` — cached prefill, batched decode or
+        verify — and returns an array.  The norms and the MLP run their
+        ``infer`` array methods, bitwise equal to their Tensor
+        ``forward``.  Every op here but attention (norms, MLP, residual
+        adds) is row-local, so stacking N requests keeps each row
+        bit-identical to its own forward.
         """
         if self.arch == "neox":
-            return x + attend(self.attn, self.norm1(x)) \
-                     + self.mlp(self.norm2(x))
-        x = x + attend(self.attn, self.norm1(x))
-        x = x + self.mlp(self.norm2(x))
+            return x + attend(self.attn, self.norm1.infer(x)) \
+                     + self.mlp.infer(self.norm2.infer(x))
+        x = x + attend(self.attn, self.norm1.infer(x))
+        x = x + self.mlp.infer(self.norm2.infer(x))
         return x
 
 
@@ -239,25 +241,32 @@ class GPTModel(Module):
         p /= p.sum()
         return int(rng.choice(len(p), p=p))
 
-    def _infer(self, tokens: np.ndarray, attend) -> Tensor:
+    def _infer(self, tokens: np.ndarray, attend) -> np.ndarray:
         """The inference layer loop shared by prefill, decode and verify.
 
+        Runs on raw arrays from the embedding to the logits, through
+        each module's ``infer`` method (bitwise equal to its Tensor
+        ``forward``), and builds no :class:`Tensor`.
         ``attend(index, attn, h)`` is layer ``index``'s attention call;
         returns logits of shape (rows, span, vocab).
         """
-        with no_grad():
-            x = self.embed(tokens)
-            for index, layer in enumerate(self.layers):
-                x = layer.forward_inference(x, partial(attend, index))
-            x = self.final_norm(x)
-            return x @ self.embed.weight.swapaxes(0, 1)
+        x = self.embed.infer(tokens)
+        for index, layer in enumerate(self.layers):
+            x = layer.forward_inference(x, partial(attend, index))
+        x = self.final_norm.infer(x)
+        return x @ np.swapaxes(self.embed.weight.data, 0, 1)
 
     def _forward_cached(self, token_ids: np.ndarray,
                         caches: list[KVCache]) -> Tensor:
-        """One incremental step of one row over per-layer KV caches."""
-        return self._infer(
+        """One incremental step of one row over per-layer KV caches.
+
+        Returns a :class:`Tensor` wrapping the logits array of shape
+        (1, span, vocab), built once after the array layer loop; it
+        records no graph.
+        """
+        return Tensor(self._infer(
             np.atleast_2d(token_ids),
-            lambda index, attn, h: attn.forward_cached(h, caches[index]))
+            lambda index, attn, h: attn.forward_cached(h, caches[index])))
 
     def decode_step_batched(self, last_tokens: np.ndarray, pool, slots
                             ) -> np.ndarray:
@@ -275,7 +284,7 @@ class GPTModel(Module):
         logits = self._infer(
             tokens, lambda index, attn, h: attn.forward_decode_batched(
                 h, pool, slots, index))
-        return logits.data[:, -1, :]
+        return logits[:, -1, :]
 
     def verify_step_batched(self, blocks: np.ndarray, pool, slots
                             ) -> np.ndarray:
@@ -297,7 +306,7 @@ class GPTModel(Module):
             raise ValueError(f"blocks must be 2-D: {tokens.shape}")
         return self._infer(
             tokens, lambda index, attn, h: attn.forward_verify_batched(
-                h, pool, slots, index)).data
+                h, pool, slots, index))
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..models.layers import Module, Parameter
 from ..models.mlp import GeluMLP, SwiGLUMLP
-from ..models.tensor import Tensor, no_grad
+from ..models.tensor import Tensor, gelu, no_grad, silu
 from ..models.transformer import GPTModel, cross_entropy
 from .pipeline import bubble_fraction
 
@@ -246,15 +246,6 @@ def split_mlp_tensor_parallel(mlp: Module, tp: int) -> list[dict]:
     return shards
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    c = np.sqrt(2.0 / np.pi)
-    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x ** 3)))
-
-
-def _silu(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.exp(-x))
-
-
 def tp_mlp_forward(shards: list[dict], x: np.ndarray,
                    comm: SimulatedComm | None = None) -> np.ndarray:
     """Execute a tensor-parallel MLP forward over rank shards.
@@ -267,10 +258,10 @@ def tp_mlp_forward(shards: list[dict], x: np.ndarray,
     partials = []
     for shard in shards:
         if shard["kind"] == "gelu":
-            hidden = _gelu(x @ shard["w_in"] + shard["b_in"])
+            hidden = gelu(x @ shard["w_in"] + shard["b_in"])[0]
             partials.append(hidden @ shard["w_out"] + shard["b_out"])
         else:
-            gate = _silu(x @ shard["w_gate"])
+            gate = silu(x @ shard["w_gate"])[0]
             up = x @ shard["w_up"]
             partials.append((gate * up) @ shard["w_down"])
     return comm.allreduce(partials, op="sum")[0]

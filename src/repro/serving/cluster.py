@@ -754,7 +754,7 @@ class ClusterSimulator:
             if dst is None:
                 # Every decode replica is down: ride the normal
                 # failover path (re-prefill elsewhere later).
-                self._fail_over(req, ready)
+                self._fail_over(req, ready, "handoff")
                 continue
             tokens = req.prefill_pos
             same_node = dst.node_index == src.node_index
@@ -957,8 +957,8 @@ class ClusterSimulator:
                 replica.breaker_trip(
                     t_router, math.inf if fo.fail_stop
                     else fo.recovery_s - fo.detection_s)
-                for req in replica.take_in_flight():
-                    self._fail_over(req, t_router)
+                for req, stage in replica.take_in_flight():
+                    self._fail_over(req, t_router, stage)
                 # In-flight transfers toward the dead replica are
                 # re-queued with its resident requests — never dropped.
                 self._requeue_transfers(flat, t_router)
@@ -1073,8 +1073,7 @@ class ClusterSimulator:
                 replica._fault_event("link-degrade", event.time_s,
                                      event.window_s)
 
-    def _fail_over(self, req: Request, now: float,
-                   stage: str = "queued") -> None:
+    def _fail_over(self, req: Request, now: float, stage: str) -> None:
         """Re-queue a killed request with backoff, or abandon it.
 
         An expired deadline short-circuits the retry: there is no point

@@ -253,18 +253,16 @@ class ReplicaServer:
         for req in expired:
             sched.waiting.remove(req)
             self._release(req)
-            stage = "decode" if req.prefill_pos >= req.prompt_len \
-                else "queued"
-            record_timeout(self.timeouts, self.events, req, now, stage)
+            record_timeout(self.timeouts, self.events, req, now,
+                           _stage(req, running=False))
         expired = [r for r in sched.running
                    if r.deadline_s is not None and now > r.deadline_s]
         for req in expired:
             sched.running.remove(req)
             self.pool.free(req.request_id)
             self._release(req)
-            stage = "prefill" if req.prefill_pos < req.prompt_len \
-                else "decode"
-            record_timeout(self.timeouts, self.events, req, now, stage)
+            record_timeout(self.timeouts, self.events, req, now,
+                           _stage(req, running=True))
 
     def _breaker_event(self, transition: str, start: float) -> None:
         self.events.append(TraceEvent(
@@ -315,24 +313,29 @@ class ReplicaServer:
         self.clock = max(self.clock, now)
         self._fault_event("fail", self.clock)
 
-    def take_in_flight(self) -> list[Request]:
+    def take_in_flight(self) -> list[tuple[Request, str]]:
         """Extract every routed-but-unfinished request (detection time).
 
         Frees the dead replica's pool allocations so a later
         :meth:`revive` starts from an empty pool; the caller owns the
-        returned requests (they are failed over or abandoned).
+        returned requests (they are failed over or abandoned).  Each
+        comes with the stage it was in when the replica died, one of
+        :data:`~repro.serving.results.TIMEOUT_STAGES`, for the timeout
+        record should its deadline have passed.
         """
         sched = self.scheduler
-        doomed = list(sched.running) + list(sched.waiting)
+        doomed = [(req, _stage(req, running=True)) for req in sched.running]
+        doomed += [(req, _stage(req, running=False))
+                   for req in sched.waiting]
         # Handed-off requests whose transfer has not departed yet die
         # with the replica too (their KV lived in its HBM).
-        doomed += [req for req, _ in self.outbox]
+        doomed += [(req, "handoff") for req, _ in self.outbox]
         self.outbox.clear()
         for req in sched.running:
             self.pool.free(req.request_id)
         sched.running.clear()
         sched.waiting.clear()
-        for req in doomed:
+        for req, _ in doomed:
             self._release(req)
         if self.prefix_cache is not None:
             # A dead replica loses its HBM contents: drop every cached
@@ -644,3 +647,16 @@ class ReplicaServer:
             self.step()
         if self.clock < t:
             self.clock = t
+
+
+def _stage(req: Request, running: bool) -> str:
+    """Where ``req`` stands on its replica, as a timeout stage.
+
+    A request whose prompt is fully prefilled is decoding, whether it
+    runs or waits (a waiting one holds KV imported from a prefill
+    replica); otherwise it is prefilling if running, and queued if
+    waiting.
+    """
+    if req.prefill_pos >= req.prompt_len:
+        return "decode"
+    return "prefill" if running else "queued"

@@ -14,16 +14,18 @@ import numpy as np
 import pytest
 
 from repro.models import (GPTModel, KVCache, ModelConfig, PackedKVPool,
-                          PackedSlotCache, preset)
+                          PackedSlotCache, Tensor, no_grad, preset)
 from repro.serving import (DecodeCostModel, Request, ServingConfig,
                            ServingEngine)
 
 
-def tiny_config(arch="llama", kv_heads=None, flash=0):
-    return ModelConfig(arch=arch, hidden_size=64, num_layers=2,
+def tiny_config(arch="llama", kv_heads=None, flash=0, hidden=64):
+    # Hidden 48 (head_dim 12) is not a power of two: the array forward
+    # must round its means and GEMVs exactly as the Tensor forward does.
+    return ModelConfig(arch=arch, hidden_size=hidden, num_layers=2,
                        num_heads=4, num_kv_heads=kv_heads, vocab_size=512,
                        max_seq_len=64, flash_attention=flash,
-                       name=f"tiny-{arch}-kv{kv_heads}-f{flash}")
+                       name=f"tiny-{arch}-h{hidden}-kv{kv_heads}-f{flash}")
 
 
 def ragged_prompts(config, lengths=(5, 9, 13, 7), seed=0):
@@ -221,10 +223,12 @@ class TestKVCacheGrowth:
 
 @pytest.mark.parametrize("arch", ["neox", "llama"])
 @pytest.mark.parametrize("kv_heads", [None, 2])
-@pytest.mark.parametrize("flash", [0, 1])
+# Flash needs head_dim % 8 == 0, so hidden 48 runs the exact kernel only.
+@pytest.mark.parametrize("flash,hidden", [(0, 64), (1, 64), (0, 48)],
+                         ids=["0", "1", "0-h48"])
 class TestBatchedDecodeParity:
-    def test_tokens_match_sequential(self, arch, kv_heads, flash):
-        config = tiny_config(arch, kv_heads, flash)
+    def test_tokens_match_sequential(self, arch, kv_heads, flash, hidden):
+        config = tiny_config(arch, kv_heads, flash, hidden)
         model = GPTModel(config, seed=0)
         # Distinct context lengths, then partly repeated ones: every step
         # of the second batch attends a lone row (13) next to stacked
@@ -254,14 +258,19 @@ def test_same_length_batch_single_group():
             np.testing.assert_array_equal(bat_row, ref_row)
 
 
-@pytest.mark.parametrize("arch", ["neox", "llama"])
-def test_chunked_prefill_bitwise(arch):
-    """Block-aligned chunks reproduce monolithic prefill bit-for-bit."""
-    config = tiny_config(arch)
+@pytest.mark.parametrize(
+    "arch,hidden", [("neox", 64), ("llama", 64), ("neox", 48), ("llama", 48)],
+    ids=["neox", "llama", "neox-h48", "llama-h48"])
+def test_chunked_prefill_bitwise(arch, hidden):
+    """Block-aligned chunks reproduce monolithic prefill bit-for-bit, and
+    monolithic prefill on arrays reproduces the Tensor forward."""
+    config = tiny_config(arch, hidden=hidden)
     model = GPTModel(config, seed=0)
     prompt = ragged_prompts(config, (48,))[0]
     mono = [KVCache() for _ in model.layers]
     ref = model._forward_cached(prompt[None], mono)
+    with no_grad():
+        np.testing.assert_array_equal(ref.data, model(prompt[None]).data)
     chunked = [KVCache() for _ in model.layers]
     for pos in range(0, 48, 16):
         logits = model._forward_cached(prompt[None, pos:pos + 16], chunked)
@@ -269,6 +278,40 @@ def test_chunked_prefill_bitwise(arch):
     for mc, cc in zip(mono, chunked):
         np.testing.assert_array_equal(mc.k[:, :, :mc.length],
                                       cc.k[:, :, :cc.length])
+
+
+class TestArrayForward:
+    """A cached forward runs on arrays: it builds no autograd Tensor."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = [0]
+        init = Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting)
+        return count
+
+    @pytest.mark.parametrize("name", ["small-llama", "small-neox"])
+    def test_cached_forwards_build_no_tensor(self, built, name):
+        model = GPTModel(preset(name), seed=0)
+        prompts = ragged_prompts(model.config, (6, 9))
+        pool = PackedKVPool.for_model(model.config, num_slots=2)
+        slots = [pool.acquire() for _ in prompts]
+        for slot, prompt in zip(slots, prompts):
+            built[0] = 0
+            logits = model._forward_cached(prompt[None],
+                                           pool.slot_caches(slot))
+            # The one Tensor is the returned wrapper of the logits.
+            assert built[0] == 1 and isinstance(logits, Tensor)
+        built[0] = 0
+        model.decode_step_batched(np.array([1, 2]), pool, slots)
+        model.verify_step_batched(np.array([[1, 2, 3], [4, 5, 6]]), pool,
+                                  slots)
+        assert built[0] == 0
 
 
 def make_requests(config, specs):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.models import (Dropout, Embedding, LayerNorm, Linear, Module,
-                          Parameter, RMSNorm, Tensor)
+from repro.models import (Dropout, Embedding, GeluMLP, LayerNorm, Linear,
+                          Module, Parameter, RMSNorm, SwiGLUMLP, Tensor)
 
 
 class TestLinear:
@@ -78,6 +78,49 @@ class TestNorms:
                        requires_grad=True)
             norm(x).sum().backward()
             assert x.grad is not None and np.isfinite(x.grad).all()
+
+
+class TestArrayForward:
+    """Each module's array ``infer`` equals its Tensor ``forward`` bitwise.
+
+    Hidden 48 is not a power of two, so a mean taken by dividing the
+    sum by ``n`` (``ndarray.mean``) instead of multiplying by ``1 / n``
+    (``Tensor.mean``) would differ in the last bit; the input is
+    (rows, span, hidden), the shape every cached forward passes.
+    """
+
+    @staticmethod
+    def randomized(module):
+        # Non-trivial norm scales and shifts, so ``* 1`` and ``+ 0``
+        # cannot hide a reordered op.
+        rng = np.random.default_rng(1)
+        for p in module.parameters():
+            p.data = rng.normal(size=p.data.shape)
+        return module
+
+    @pytest.mark.parametrize("make", [
+        lambda: Linear(48, 144, bias=True),
+        lambda: Linear(48, 144, bias=False),
+        lambda: RMSNorm(48),
+        lambda: LayerNorm(48),
+        lambda: GeluMLP(48, 192),
+        lambda: SwiGLUMLP(48, 128),
+    ], ids=["linear-bias", "linear", "rmsnorm", "layernorm", "gelu-mlp",
+            "swiglu-mlp"])
+    def test_infer_matches_forward(self, make):
+        module = self.randomized(make())
+        x = np.random.default_rng(2).normal(3.0, 2.0, size=(3, 5, 48))
+        got = module.infer(x)
+        assert isinstance(got, np.ndarray)
+        np.testing.assert_array_equal(got, module(Tensor(x)).data)
+
+    def test_embedding_infer_matches_forward(self):
+        emb = Embedding(100, 48)
+        ids = np.random.default_rng(3).integers(0, 100, size=(3, 5))
+        np.testing.assert_array_equal(emb.infer(ids), emb(ids).data)
+        for bad in ([100], [-1]):
+            with pytest.raises(IndexError):
+                emb.infer(np.array(bad))
 
 
 class TestDropout:

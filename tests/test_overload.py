@@ -609,20 +609,24 @@ class TestChaosAccounting:
             n=64, rate=200.0, deadline=1.0, mtbf=0.0002,
             max_outstanding=4)[1]
 
+    @staticmethod
+    def detections(res):
+        return {e.start_s for group in res.lanes.values()
+                for events in group.values() for e in events
+                if e.name == "fault/detect"}
+
     def test_failover_past_the_deadline_times_out(self):
         """A request whose replica is detected dead after its deadline
         is cancelled at the router with its partial output, not
         retried."""
         res = self.run_chaos("deadline-estimate")
         assert any(e["kind"] == "failure" for e in res.fault_events)
-        detections = {e.start_s for group in res.lanes.values()
-                      for events in group.values() for e in events
-                      if e.name == "fault/detect"}
+        detections = self.detections(res)
         router = res.lanes["cluster"]["router"]
         retried_at = {(e.name.split("/")[0], e.start_s) for e in router
                       if e.category == "retry"}
         expired = [t for t in res.timeout_records
-                   if t.stage == "queued" and t.output_len > 0
+                   if t.stage == "decode" and t.output_len > 0
                    and t.cancelled_at in detections]
         assert expired
         for t in expired:
@@ -631,6 +635,20 @@ class TestChaosAccounting:
         assert len(res.records) + len(res.failed_records) \
             + len(res.shed_records) + len(res.timeout_records) == \
             res.submitted
+
+    def test_failover_timeout_keeps_the_stage_at_death(self):
+        """A failed-over request cancelled at the detection is recorded
+        at the stage it was in when its replica died: decoding if it
+        had emitted tokens, never ``queued``."""
+        res = self.run_chaos("deadline-estimate")
+        detections = self.detections(res)
+        at_detection = [t for t in res.timeout_records
+                        if t.cancelled_at in detections]
+        decoding = [t for t in at_detection if t.output_len > 0]
+        assert decoding
+        assert {t.stage for t in decoding} == {"decode"}
+        assert {t.stage for t in at_detection if t.output_len == 0} \
+            <= {"queued", "prefill"}
 
     def test_each_timeout_has_one_lane_event(self):
         """Router and replica cancellations share one writer: every
