@@ -27,9 +27,14 @@ from ..parallel.simulator import StepProfile
 __all__ = ["TraceEvent", "StepTrace", "build_step_trace"]
 
 
-@dataclass(frozen=True)
+@dataclass
 class TraceEvent:
-    """One span on the timeline."""
+    """One span on the timeline.
+
+    The serving simulators build one per lifecycle event, so this is a
+    plain dataclass: a frozen one's ``__init__`` costs about four times
+    as much.  Treat an event as read-only once built.
+    """
 
     name: str
     start_s: float

@@ -477,15 +477,28 @@ class ClusterSimulator:
         the cursor — a fixed lowest-index tie-break would funnel all
         ties onto the first replicas and leave the rest idle, which is
         exactly the imbalance a load balancer exists to avoid.
+
+        No key is below 0, so under ``least-outstanding``, ``jskq`` and
+        ``round-robin`` the pass stops at the first eligible replica
+        whose key is 0 (an idle one; any one under round-robin): nothing
+        after it can win.  The pass stays full under ``cache-aware``,
+        whose key has no cheap floor, and while a breaker is armed,
+        because asking an eligible replica's breaker half-opens an
+        expired open one, and every eligible replica is asked.
         """
         routing = self.config.routing
         cap = routing.max_outstanding_per_replica
         policy = routing.policy
         breaker = self._overload.breaker
+        early_exit = not breaker and policy != "cache-aware"
         now = self._router_clock
+        replicas = self.replicas
         rr = self._rr_next
         best, best_key = None, None
-        for r in self.replicas[rr:] + self.replicas[:rr]:
+        # Indices rr - R .. rr - 1 read replicas[rr:] (as negative
+        # indices) and then replicas[:rr]: the rotated order, uncopied.
+        for i in range(rr - len(replicas), rr):
+            r = replicas[i]
             if not r.healthy or r.role == "decode":
                 continue
             sched = r.scheduler
@@ -512,6 +525,8 @@ class ClusterSimulator:
                 key = 0
             if best is None or key < best_key:
                 best, best_key = r, key
+                if early_exit and key == 0:
+                    break
         return best
 
     def _choose(self, request: Request) -> ReplicaServer | None:
@@ -836,7 +851,9 @@ class ClusterSimulator:
         A simulator serves one run: its replicas keep their records,
         clocks and pools, and the router its queues, so a second call
         raises instead of mixing two runs' accounting.  So does the
-        :class:`~repro.serving.ServingEngine` built on it.
+        :class:`~repro.serving.ServingEngine` built on it.  Request ids
+        must be unique: pool leases, records and assignments are keyed
+        by them.
         """
         if self._ran:
             raise RuntimeError(
@@ -844,6 +861,13 @@ class ClusterSimulator:
                 "a new ClusterSimulator (or ServingEngine) for each run")
         if not requests:
             raise ValueError("no requests to serve")
+        seen: set[int] = set()
+        for req in requests:
+            if req.request_id in seen:
+                raise ValueError(
+                    f"duplicate request id {req.request_id}: every "
+                    f"request of a run needs its own id")
+            seen.add(req.request_id)
         self.replicas[0].validate(requests)
         self._ran = True
         arrivals = sorted(requests, key=lambda r: (r.arrival_time,

@@ -130,6 +130,14 @@ class PagedKVPool:
         """
         if total_tokens < 1:
             raise ValueError(f"total_tokens must be >= 1: {total_tokens}")
+        held = self._blocks.get(request_id)
+        if held is not None \
+                and len(held) * self.config.block_size >= total_tokens:
+            # The lease already covers it: no block moves, so neither
+            # the free list nor the peak can change.
+            if total_tokens > self._tokens[request_id]:
+                self._tokens[request_id] = total_tokens
+            return True
         held = self._blocks.setdefault(request_id, [])
         extra = self.blocks_needed(total_tokens) - len(held)
         if extra > self.blocks_free:

@@ -25,9 +25,13 @@ __all__ = ["RequestRecord", "TimelineSample", "ServingMetrics",
            "format_metrics"]
 
 
-@dataclass(frozen=True)
+@dataclass
 class RequestRecord:
-    """Completed-request timings (all virtual-clock seconds)."""
+    """Completed-request timings (all virtual-clock seconds).
+
+    Built once per finished request on the serving hot path, so a plain
+    dataclass rather than a frozen one; treat it as read-only.
+    """
 
     request_id: int
     arrival: float
@@ -64,9 +68,13 @@ class RequestRecord:
         return (self.finish - self.first_token) / (self.output_len - 1)
 
 
-@dataclass(frozen=True)
+@dataclass
 class TimelineSample:
-    """One decode-step snapshot of engine state."""
+    """One decode-step snapshot of engine state.
+
+    Built once per decode step, so a plain dataclass rather than a
+    frozen one; treat it as read-only.
+    """
 
     time: float
     queue_depth: int

@@ -559,8 +559,9 @@ class ReplicaServer:
                 spec_extra = k_eff + 1
             else:
                 k_eff = 0
+        preempted = False
         for req in batch:
-            if req not in sched.running:
+            if preempted and req not in sched.running:
                 continue  # preempted earlier in this same step
             while not self.pool.allocate(req.request_id,
                                          req.context_len + spec_extra):
@@ -594,9 +595,11 @@ class ReplicaServer:
                     victim = next((r for r in reversed(sched.running)
                                    if r.prefill_pos < r.prompt_len), req)
                 self._preempt(victim)
+                preempted = True
                 if victim is req:
                     break
-        survivors = [r for r in batch if r in sched.running]
+        survivors = [r for r in batch if r in sched.running] \
+            if preempted else batch
         if not survivors:
             return
 

@@ -46,9 +46,16 @@ WAITING, RUNNING, FINISHED = "waiting", "running", "finished"
 PRIORITY_TIERS = ("interactive", "batch")
 
 
-@dataclass
+@dataclass(eq=False)
 class Request:
-    """One generation request moving through the serving stack."""
+    """One generation request moving through the serving stack.
+
+    Requests compare by identity: the serving queues hold the very
+    objects that were submitted, and ``list.remove`` or ``in`` on them
+    must find that object, not one with equal fields (a field-wise
+    comparison would also compare the ``prompt`` arrays).  A run
+    rejects two requests with the same ``request_id``.
+    """
 
     request_id: int
     prompt: np.ndarray
@@ -117,12 +124,12 @@ class Request:
 
     @property
     def prompt_len(self) -> int:
-        return int(self.prompt.size)
+        return len(self.prompt)  # 1-D after __post_init__
 
     @property
     def context_len(self) -> int:
         """Tokens currently in the KV cache (prompt + generated)."""
-        return self.prompt_len + len(self.output)
+        return len(self.prompt) + len(self.output)
 
     @property
     def budget_tokens(self) -> int:
@@ -352,6 +359,8 @@ class ContinuousBatchScheduler:
         worst-case token demand fits the batch token budget, and (c) the
         pool can hold its prompt plus the first generated token.
         """
+        if not self.waiting:
+            return []
         self._sort_waiting()
         admitted: list[Request] = []
         remaining: list[Request] = []

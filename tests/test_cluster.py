@@ -1,21 +1,24 @@
 """Tests for the multi-node serving cluster simulator: replica
 layouts, load-balancing policies, backpressure, lifecycle traces, the
-ClusterResult API, and the simulator's own per-event cost."""
+ClusterResult API, the simulator's own per-event cost, and the rejection
+of repeated request ids."""
 
 import json
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.frontier.hardware import GCDSpec, NodeSpec
-from repro.models import preset
+from repro.models import GPTModel, preset
 from repro.serving import (LB_POLICIES, ClusterConfig, ClusterResult,
                            ClusterSimulator, OverloadConfig, ReplicaLayout,
-                           ReplicaServer, RoutingConfig, ServingConfig,
-                           ServingResultBase, WorkloadConfig, format_cluster,
+                           ReplicaServer, Request, RoutingConfig,
+                           ServingConfig, ServingEngine, ServingResultBase,
+                           WorkloadConfig, format_cluster,
                            synthesize_workload)
 
 
@@ -344,3 +347,80 @@ class TestSinglePassRouting:
                         len(a.events)) == (b.breaker.state,
                                            b.breaker._probes_used,
                                            len(b.events))
+
+
+class _Unreadable:
+    """A replica stand-in that fails the test when the router reads it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the router read {name!r} past its pick")
+
+
+#: router_sim state of an idle, healthy replica with a closed breaker
+IDLE = ([], True, "closed", False, 0, None)
+
+
+class TestEarlyExitRouting:
+    @pytest.mark.parametrize("policy",
+                             ["least-outstanding", "jskq", "round-robin"])
+    @pytest.mark.parametrize("cursor", [0, 9, 14])
+    def test_pass_stops_at_a_key_of_zero(self, policy, cursor):
+        """With no breaker armed, no replica after the first eligible
+        one with a key of 0 is read: the first idle one under the
+        load-aware policies, the first eligible one under round-robin.
+        At the cursor sits an unhealthy replica, then a busy one."""
+        states = [IDLE] * 16
+        states[cursor] = ([], False, "closed", False, 0, None)
+        states[(cursor + 1) % 16] = ([1, 2], True, "closed", False, 0,
+                                     None)
+        sim = router_sim(policy, "8xTP1", 4, False, states, cursor)
+        pick = (cursor + (1 if policy == "round-robin" else 2)) % 16
+        for k in range(1, 16):
+            if (pick + k) % 16 == cursor:
+                break
+            sim.replicas[(pick + k) % 16] = _Unreadable()
+        chosen = sim._choose(SimpleNamespace(prompt=[1, 2, 3]))
+        assert chosen.index == pick
+        assert sim._rr_next == (pick + 1) % 16
+
+    def test_armed_breaker_keeps_the_full_pass(self):
+        """An armed breaker keeps the pass full: an expired open breaker
+        after the pick half-opens and records its event, as it does when
+        every eligible replica is asked."""
+        states = [IDLE] * 16
+        states[9] = ([], True, "open", True, 0, None)
+        sim = router_sim("round-robin", "8xTP1", 4, True, states, 0)
+        chosen = sim._choose(SimpleNamespace(prompt=[1, 2, 3]))
+        late = sim.replicas[9]
+        assert chosen.index == 0
+        assert late.breaker.state == "half-open"
+        assert [(e.name, e.start_s) for e in late.events] \
+            == [("breaker/half-open", 1.0)]
+
+
+class TestDuplicateRequestIds:
+    """Pool leases, records and assignments are keyed by request id, so
+    a run rejects two requests with one id, whether or not they meet."""
+
+    CASES = {"overlap-equal-len": (0.0, 8), "overlap-unequal-len": (0.0, 12),
+             "apart": (5.0, 8)}
+
+    @staticmethod
+    def requests(second_arrival, second_len):
+        return [Request(request_id=7, prompt=np.arange(1, 9),
+                        max_new_tokens=4, arrival_time=0.0),
+                Request(request_id=7, prompt=np.arange(1, second_len + 1),
+                        max_new_tokens=6, arrival_time=second_arrival)]
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_cluster_rejects_a_repeated_id(self, config, case):
+        sim = ClusterSimulator(config, ClusterConfig(
+            num_nodes=1, layout=ReplicaLayout(replicas_per_node=1)))
+        with pytest.raises(ValueError, match="duplicate request id 7"):
+            sim.run(self.requests(*self.CASES[case]))
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_engine_rejects_a_repeated_id(self, case):
+        engine = ServingEngine(GPTModel(preset("tiny-llama"), seed=0))
+        with pytest.raises(ValueError, match="duplicate request id 7"):
+            engine.run(self.requests(*self.CASES[case]))

@@ -1,6 +1,7 @@
 """Tests for the serving subsystem: paged KV pool, continuous-batching
 scheduler, decode engine, workloads, metrics, Frontier extrapolation."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -177,6 +178,16 @@ class TestScheduler:
         sched.submit(self._req(1, 7))
         assert len(sched.admit(now=0.0)) == 1
         assert sched.queue_depth == 1
+
+    def test_requests_compare_by_identity(self):
+        """A field-for-field copy is another request: ``==`` and
+        ``list.remove`` go by identity and never compare the prompts."""
+        first = self._req(0, 5)
+        copy = dataclasses.replace(first)
+        assert first == first and copy != first
+        queue = [first, copy]
+        queue.remove(copy)
+        assert len(queue) == 1 and queue[0] is first
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
